@@ -22,10 +22,12 @@ Timing artifacts
 Speed benches persist their measurements as machine-readable JSON
 (``BENCH_<name>.json``, via the ``bench_json`` fixture) so the performance
 trajectory is tracked across PRs instead of living only in transient pytest
-output.  Artifacts land next to this file by default; ``REPRO_BENCH_DIR``
-redirects them.  ``REPRO_BENCH_RELAX=1`` relaxes the speedup *assertions*
-(for CI smoke runs on noisy/tiny machines) while still exercising the bench
-code and writing the JSON.
+output.  Artifacts land in the untracked ``.benchmarks/`` at the repository
+root by default, so a plain test run never rewrites the committed reference
+files next to this one (``docs/benchmarks.md`` says how those are
+refreshed); ``REPRO_BENCH_DIR`` redirects them.  ``REPRO_BENCH_RELAX=1``
+relaxes the speedup *assertions* (for CI smoke runs on noisy/tiny machines)
+while still exercising the bench code and writing the JSON.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ SCALE = os.environ.get("REPRO_SCALE", "small")
 
 RELAX_TIMING = os.environ.get("REPRO_BENCH_RELAX", "") not in ("", "0")
 
-BENCH_OUT_DIR = Path(os.environ.get("REPRO_BENCH_DIR", os.path.dirname(__file__)))
+BENCH_OUT_DIR = Path(
+    os.environ.get("REPRO_BENCH_DIR")
+    or Path(__file__).resolve().parent.parent / ".benchmarks"
+)
 
 _SIZING = {
     # scale: (n_accesses, target_instr, warmup_instr, combos_per_class,

@@ -6,25 +6,22 @@ statistics are the product here; the printed rate contextualizes them.
 
 ``test_sim_core_speedups`` pits the production stepping loops against the
 seed implementation preserved in :mod:`repro.core.reference` and persists
-four series to ``BENCH_sim_speed.json`` (see ``docs/benchmarks.md`` for
-the headline history — quiescent-regime in PR 8, mix-regime here):
+three series to ``BENCH_sim_speed.json`` (see ``docs/benchmarks.md`` for
+the headline history):
 
 * ``fast_mix`` — the fast scalar loop on a paper contention mix; the
   original fast-path contract (>= 1.5x on L2P, >= 1.35x geomean) still
   gates here.
-* ``batch_mix`` — the batched core on the same mix, reported *without* a
-  floor: the paper's mixes miss 25-60% of accesses by construction, and
-  every miss takes the shared scalar path, so batch ~ parity here (which
-  is exactly why ``sim_core=auto`` never picks it).
-* ``batch_quiescent`` — the batched core on a resident-working-set
-  workload (the quiescent regime it exists for: ~99% local hits after one
-  cold lap); still gates at >= 4.0x over the seed loop (~8-12x measured).
-* ``compiled_mix`` — the compiled SoA-kernel core on the paper mix, over
-  the five schemes its kernels cover (``snug_intra`` has no kernel and
-  rides the fast loop, so it is benched there).  **This is the headline
-  ``geomean_speedup``**: the mix regime is what every sweep and figure
-  actually runs, and it gates at >= 4.0x over the seed loop (measured
-  ~10-15x per scheme with the native C kernel tier).
+* ``compiled_quiescent`` — the compiled core on a resident-working-set
+  workload (~99% local hits after one cold lap); gates at >= 4.0x over
+  the seed loop.
+* ``compiled_mix`` — the compiled SoA-kernel core on the paper mix.
+  **This is the headline ``geomean_speedup``**: the mix regime is what
+  every sweep and figure actually runs, and it gates at >= 4.0x over the
+  seed loop (measured ~10-15x per scheme with the native C kernel tier).
+
+Both compiled series run the schemes with a kernel (``snug_intra`` rides
+the fast loop, so it is benched there).
 
 Every loop is held bit-identical to the reference inside the bench — a
 speedup from a wrong result would be worthless.
@@ -36,18 +33,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchCmpSystem
 from repro.core.cmp import CmpSystem
-from repro.core.compiled import CompiledCmpSystem
+from repro.core.compiled import KERNEL_SCHEMES, CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem, reference_system
 from repro.schemes.factory import make_scheme, scheme_names
 from repro.workloads.mixes import build_mix_traces, get_mix
 from repro.workloads.trace import Trace
-
-#: The schemes with a compiled kernel — the ``compiled_mix`` series runs
-#: exactly these (``snug_intra`` dispatches through the generic loop, so
-#: benching it under the compiled core would just re-measure ``fast_mix``).
-KERNEL_SCHEMES = ("l2p", "l2s", "cc", "dsr", "snug")
 
 
 @pytest.mark.benchmark(group="sim-speed")
@@ -139,7 +130,7 @@ def _print_series(label, timings):
 
 @pytest.mark.benchmark(group="sim-speed")
 def test_sim_core_speedups(scale, bench_json, relax_timing):
-    """Production loops vs the preserved seed loop (four series)."""
+    """Production loops vs the preserved seed loop (three series)."""
     cfg = scale.config
     mix_traces = build_mix_traces(get_mix("c4_0"), cfg.l2.num_sets,
                                   min(scale.plan.n_accesses, 10_000), seed=0)
@@ -151,10 +142,9 @@ def test_sim_core_speedups(scale, bench_json, relax_timing):
     fast_mix = _series(cfg, mix_traces, mix_target, CmpSystem,
                        check_against_seed=False)
     fast_geomean = _print_series("fast_mix", fast_mix)
-    batch_mix = _series(cfg, mix_traces, mix_target, BatchCmpSystem)
-    batch_mix_geomean = _print_series("batch_mix", batch_mix)
-    batch_q = _series(cfg, q_traces, q_target, BatchCmpSystem)
-    quiescent_geomean = _print_series("batch_quiescent", batch_q)
+    compiled_q = _series(cfg, q_traces, q_target, CompiledCmpSystem,
+                         schemes=KERNEL_SCHEMES)
+    quiescent_geomean = _print_series("compiled_quiescent", compiled_q)
     compiled_mix = _series(cfg, mix_traces, mix_target, CompiledCmpSystem,
                            schemes=KERNEL_SCHEMES)
     compiled_mix_geomean = _print_series("compiled_mix", compiled_mix)
@@ -167,10 +157,8 @@ def test_sim_core_speedups(scale, bench_json, relax_timing):
         "headline": "compiled_mix",
         "series": {
             "fast_mix": {"schemes": fast_mix, "geomean_speedup": fast_geomean},
-            "batch_mix": {"schemes": batch_mix,
-                          "geomean_speedup": batch_mix_geomean},
-            "batch_quiescent": {"schemes": batch_q,
-                                "geomean_speedup": quiescent_geomean},
+            "compiled_quiescent": {"schemes": compiled_q,
+                                   "geomean_speedup": quiescent_geomean},
             "compiled_mix": {"schemes": compiled_mix,
                              "geomean_speedup": compiled_mix_geomean},
         },
@@ -184,11 +172,9 @@ def test_sim_core_speedups(scale, bench_json, relax_timing):
         f"l2p single-run speedup {fast_speedups['l2p']:.2f}x < 1.5x")
     assert fast_geomean >= 1.35, f"geomean speedup {fast_geomean:.2f}x regressed"
     assert all(s > 1.1 for s in fast_speedups.values()), fast_speedups
-    # The batched-core contract: >= 4x over the seed in its regime.
+    # The compiled-core contract: >= 4x over the seed in both regimes.
     assert quiescent_geomean >= 4.0, (
-        f"batch quiescent geomean {quiescent_geomean:.2f}x < 4.0x")
-    # The compiled-core contract: >= 4x over the seed on the paper mixes —
-    # the regime the batched core could not touch.
+        f"compiled quiescent geomean {quiescent_geomean:.2f}x < 4.0x")
     assert compiled_mix_geomean >= 4.0, (
         f"compiled mix geomean {compiled_mix_geomean:.2f}x < 4.0x")
 
@@ -201,6 +187,6 @@ def test_production_cores_bit_identical_on_quiescent(scale):
     target = min(scale.plan.target_instructions, 40_000)
     for name in scheme_names():
         ref = ReferenceCmpSystem(cfg, make_scheme(name, cfg), traces).run(target)
-        for core_cls in (BatchCmpSystem, CompiledCmpSystem):
+        for core_cls in (CmpSystem, CompiledCmpSystem):
             out = core_cls(cfg, make_scheme(name, cfg), traces).run(target)
             assert out.to_dict() == ref.to_dict(), (name, core_cls.__name__)

@@ -97,22 +97,6 @@ class DemandMonitorCounter:
         """A hit in the real L2 set."""
         self._on_any_hit()
 
-    def on_real_hits(self, count: int) -> None:
-        """Apply *count* consecutive real hits in one step.
-
-        Equivalent to ``count`` calls to :meth:`on_real_hit`: real hits never
-        increment, so the ``count`` mod-p ticks fold into ``total // p``
-        saturating decrements plus a carry.
-        """
-        if count <= 0:
-            return
-        total = self._mod + count
-        decrements = total // self.p
-        self._mod = total % self.p
-        if decrements:
-            counter = self.counter
-            counter.value = max(0, counter.value - decrements)
-
     def _on_any_hit(self) -> None:
         self._mod += 1
         if self._mod == self.p:

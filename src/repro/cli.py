@@ -73,9 +73,9 @@ sharded store of checksummed records; the manifest is stamped with the
 scenario's content hash) and ``--resume`` (skip tasks already completed
 in the store — refused when the store was produced by a different
 scenario).  The same three commands take ``--sim-core
-{auto,fast,batch,compiled,reference}`` (select the stepping loop; every
-core is bit-identical, see ``docs/architecture.md``; ``auto`` picks the
-measured best core per scheme) and ``--profile PATH`` (cProfile the
+{auto,fast,reference}`` (select the stepping loop; every core is
+bit-identical, see ``docs/architecture.md``; ``auto`` is the compiled
+core) and ``--profile PATH`` (cProfile the
 execution phase).  ``run`` and ``sweep`` also take
 ``--snug-monitor`` (SNUG classifies sets from an online streaming demand
 monitor; a plan property, so it behaves identically under every backend) —
@@ -188,13 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_flags.add_argument(
         "--sim-core", choices=SIM_CORES, default=None,
-        help="stepping loop: fast (scalar event loop), batch (vectorized "
-             "quiescent-run stepping; wins on hit-dominated workloads), "
-             "compiled (SoA state + per-scheme kernels; wins on the paper's "
-             "miss-heavy mixes), reference (the seed loop), or auto (pick "
-             "the measured best core per scheme); all cores produce "
-             "bit-identical results, so this never changes what a run "
-             "computes",
+        help="stepping loop: auto (the compiled core: SoA state + "
+             "per-scheme kernels, the default), fast (scalar event loop) or "
+             "reference (the seed loop); all cores produce bit-identical "
+             "results, so this never changes what a run computes",
     )
     engine_flags.add_argument(
         "--profile", default=None, metavar="PATH",

@@ -92,9 +92,9 @@ _RT_KEYS = ("epochs",)
  _A_KEYS, _A_LADDR, _A_LMETA, _A_OCC, _A_WBADDR, _A_WBTIME, _A_WBHEAD,
  _A_WBLEN, _A_WBNEXT, _A_SLCNT, _A_SLSTAMP, _A_WCNT, _A_WSTAMP, _A_DCNT,
  _A_DSTAMP, _A_BCNT, _A_BSTAMP, _A_RCNT, _A_RSTAMP, _A_STAMP, _A_BANKFREE,
- _A_BUSBUSY, _A_OUTC, _A_WOUT, _A_WLAT, _A_MUT, _A_MS, _A_SETROLE, _A_PSEL,
- _A_GT, _A_SHADDR, _A_SHLEN, _A_MONVAL, _A_MONMOD, _A_COIN, _A_PICK, _A_RS,
- _A_PEERS, _A_DPARAMS, _NARR) = range(53)
+ _A_BUSBUSY, _A_OUTC, _A_WOUT, _A_WLAT, _A_MS, _A_SETROLE, _A_PSEL, _A_GT,
+ _A_SHADDR, _A_SHLEN, _A_MONVAL, _A_MONMOD, _A_COIN, _A_PICK, _A_RS,
+ _A_PEERS, _A_DPARAMS, _NARR) = range(52)
 
 _RC_DONE, _RC_BUDGET, _RC_RNG = 0, 1, 2
 
@@ -140,8 +140,8 @@ enum { A_PARAMS, A_OFFS, A_TADDR, A_TGAP, A_TGAPC, A_TWRITE,
        A_KEYS, A_LADDR, A_LMETA, A_OCC, A_WBADDR, A_WBTIME, A_WBHEAD,
        A_WBLEN, A_WBNEXT, A_SLCNT, A_SLSTAMP, A_WCNT, A_WSTAMP, A_DCNT,
        A_DSTAMP, A_BCNT, A_BSTAMP, A_RCNT, A_RSTAMP, A_STAMP, A_BANKFREE,
-       A_BUSBUSY, A_OUTC, A_WOUT, A_WLAT, A_MUT, A_MS, A_SETROLE, A_PSEL,
-       A_GT, A_SHADDR, A_SHLEN, A_MONVAL, A_MONMOD, A_COIN, A_PICK, A_RS,
+       A_BUSBUSY, A_OUTC, A_WOUT, A_WLAT, A_MS, A_SETROLE, A_PSEL, A_GT,
+       A_SHADDR, A_SHLEN, A_MONVAL, A_MONMOD, A_COIN, A_PICK, A_RS,
        A_PEERS, A_DPARAMS, NARR };
 
 enum { RC_DONE = 0, RC_BUDGET = 1, RC_RNG = 2 };
@@ -153,7 +153,7 @@ typedef struct {
     i64 *wb_addr, *wb_time, *wb_head, *wb_len, *wb_next;
     i64 *slcnt, *slstamp, *wcnt, *wstamp, *dcnt, *dstamp;
     i64 *bcnt, *bstamp, *rcnt, *rstamp, *stamp;
-    i64 *bank_free, *bus_busy, *out_c, *w_out, *w_lat, *mut, *ms;
+    i64 *bank_free, *bus_busy, *out_c, *w_out, *w_lat, *ms;
     i64 *set_role, *psel, *gt, *sh_addr, *sh_len, *mon_val, *mon_mod;
     double *coin_buf; i64 *pick_buf, *rs, *peers; double *dparams;
     i64 ncores, kind, imask, assoc, nsets, nper, cshift, cmask;
@@ -348,7 +348,7 @@ static int shadow_hit(Ctx *C, i64 c, i64 set, i64 addr) {
 }
 
 /* Insert a line at MRU; returns 1 when a victim was evicted (out-params).
- * Bumps fills/evictions and the membership-epoch accumulator. */
+ * Bumps the fills/evictions counters. */
 static int do_fill(Ctx *C, i64 c, i64 set, i64 addr, i64 meta,
                    i64 *vaddr, i64 *vmeta) {
     i64 idx = c * C->nsets + set;
@@ -366,7 +366,6 @@ static int do_fill(Ctx *C, i64 c, i64 set, i64 addr, i64 meta,
     i64 *sc = C->slcnt + c * NSL, *ss = C->slstamp + c * NSL;
     BUMP(sc, ss, SL_FILLS, 1);
     if (evicted) BUMP(sc, ss, SL_EVICT, 1);
-    C->mut[c] += 1;
     return evicted;
 }
 """
@@ -479,7 +478,6 @@ static void latch_gt(Ctx *C) {
                 i64 w = 0;
                 for (i64 j = 0; j < occ; j++) {
                     if (lm[j] & 2) {
-                        C->mut[c] += 1;
                         BUMP(sc, ss, SL_CCFLUSH, 1);
                     } else {
                         la[w] = la[j]; lm[w] = lm[j]; w++;
@@ -596,7 +594,6 @@ i64 run_kernel(void **A) {
     C->out_c = (i64 *)A[A_OUTC];
     C->w_out = (i64 *)A[A_WOUT];
     C->w_lat = (i64 *)A[A_WLAT];
-    C->mut = (i64 *)A[A_MUT];
     C->ms = (i64 *)A[A_MS];
     C->set_role = (i64 *)A[A_SETROLE];
     C->psel = (i64 *)A[A_PSEL];
@@ -789,7 +786,6 @@ i64 run_kernel(void **A) {
                         i64 *pc = C->slcnt + fpeer * NSL;
                         i64 *ps = C->slstamp + fpeer * NSL;
                         BUMP(pc, ps, SL_INVAL, 1);
-                        C->mut[fpeer] += 1;
                         BUMP(pc, ps, SL_FWD, 1);
                         i64 delay = bus_transfer(C, issue);
                         stall = fill_dispose(C, cid, addr, is_write, issue);
@@ -831,7 +827,6 @@ i64 run_kernel(void **A) {
                         i64 *pc = C->slcnt + fpeer * NSL;
                         i64 *ps = C->slstamp + fpeer * NSL;
                         BUMP(pc, ps, SL_INVAL, 1);
-                        C->mut[fpeer] += 1;
                         BUMP(pc, ps, SL_FWD, 1);
                         i64 delay = bus_transfer(C, issue);
                         stall = fill_dispose(C, cid, addr, is_write, issue);
@@ -1095,7 +1090,6 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     out_c = np.zeros(4, dtype=np.int64)
     w_out = np.zeros(ncores * 4, dtype=np.int64)
     w_lat = np.zeros(ncores, dtype=np.int64)
-    mut = np.zeros(ncores, dtype=np.int64)
     ms = np.zeros(_NMS, dtype=np.int64)
     ms[_MS_REMAINING] = ncores
     rs = np.zeros(_NRS, dtype=np.int64)
@@ -1202,7 +1196,6 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     arrays[_A_OUTC] = out_c
     arrays[_A_WOUT] = w_out
     arrays[_A_WLAT] = w_lat
-    arrays[_A_MUT] = mut
     arrays[_A_MS] = ms
     arrays[_A_SETROLE] = set_role
     arrays[_A_PSEL] = psel
@@ -1270,10 +1263,6 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
                     for j in range(o)
                 ]
                 lruset._addrs = row[:o]
-        if mut[c]:
-            cache.membership_epoch += int(mut[c])
-        cache._bulk_table = None
-        cache._bulk_dirty.clear()
         _merge_stamped(cache._counters, _SL_KEYS,
                        slcnt[c * nsl:(c + 1) * nsl],
                        slstamp[c * nsl:(c + 1) * nsl])

@@ -1,8 +1,11 @@
 """Compiled simulation core: SoA cache state + typed kernels, miss path included.
 
-The fast core (:class:`~repro.core.cmp.CmpSystem`) inlines trace stepping but
-still walks Python objects per access; the batched core only wins in
-resident-working-set regimes.  This core targets the *miss-heavy* paper mixes:
+The production core: ``sim_core="auto"`` (the default) runs every simulation
+through :class:`CompiledCmpSystem`.  The fast core
+(:class:`~repro.core.cmp.CmpSystem`) inlines trace stepping but still walks
+Python objects per access; this core steps whole runs inside per-scheme
+kernels, so it wins on the *miss-heavy* paper mixes and on hit-dominated
+(quiescent) traces alike:
 
 * **Structure-of-arrays state.**  All per-set LRU/recency state, occupancy
   counters, dirty bits, write-buffer FIFOs, saturating counters and shadow-set
@@ -56,7 +59,7 @@ from ..schemes.snug import STAGE_GROUP, STAGE_IDENTIFY, SnugCache
 from . import _ckernel
 from .cmp import CmpSystem, SimResult, budget_exhausted_error
 
-__all__ = ["CompiledCmpSystem", "numba_active", "kernel_mode"]
+__all__ = ["CompiledCmpSystem", "KERNEL_SCHEMES", "numba_active", "kernel_mode"]
 
 #: Outcome keys in enum order — the prepopulated-dict key order of the
 #: reference core's ``outcome_counts`` / ``window_outcomes``.
@@ -603,9 +606,6 @@ def _run_l2p_array(system: CmpSystem, target: int, warmup: int,
                     for j in range(occ)
                 ]
                 lruset._addrs = row[:occ]
-        cache.membership_epoch += int(sl_cnt[c, _SL_FILLS])
-        cache._bulk_table = None
-        cache._bulk_dirty.clear()
         _merge_stamped(cache._counters, _SLICE_KEYS, sl_cnt[c], sl_stamp[c])
     for c, wbuf in enumerate(scheme.wbufs):
         head, wlen = int(wb_head[c]), int(wb_len[c])
@@ -682,10 +682,6 @@ def _run_interpreted(system: CmpSystem, target: int, warmup: int,
     caches = scheme.banks if kind == 1 else scheme.slices
     sets_by = [c.sets for c in caches]
     scnt = [c._counters for c in caches]
-    for cache in caches:
-        cache._bulk_table = None
-        cache._bulk_dirty.clear()
-    mut = [0] * ncores
     wbufs = scheme.wbufs
     wb_entries = [w._entries for w in wbufs]
     wb_next = [w._next_drain_at for w in wbufs]
@@ -859,7 +855,6 @@ def _run_interpreted(system: CmpSystem, target: int, warmup: int,
                             i = lines.index(ln)
                             del lines[i]
                             del lruset._addrs[i]
-                            mut[c] += 1
                             cnt["cc_flushed"] += 1
                     gt[s] = nt
                     takers += nt
@@ -914,7 +909,6 @@ def _run_interpreted(system: CmpSystem, target: int, warmup: int,
                 pc["fills"] += 1
                 if hv is not None:
                     pc["evictions"] += 1
-                mut[cand_peer] += 1
                 scnt[owner]["spills_out"] += 1
                 pc["spills_hosted"] += 1
                 if cand_f:
@@ -957,7 +951,6 @@ def _run_interpreted(system: CmpSystem, target: int, warmup: int,
             hc["fills"] += 1
             if hv is not None:
                 hc["evictions"] += 1
-            mut[host] += 1
             scnt[owner]["spills_out"] += 1
             hc["spills_hosted"] += 1
             if hv is not None:
@@ -989,7 +982,6 @@ def _run_interpreted(system: CmpSystem, target: int, warmup: int,
             hc["fills"] += 1
             if hv is not None:
                 hc["evictions"] += 1
-            mut[host] += 1
             scnt[owner]["spills_out"] += 1
             hc["spills_hosted"] += 1
             if hv is not None:
@@ -1014,7 +1006,6 @@ def _run_interpreted(system: CmpSystem, target: int, warmup: int,
         sc["fills"] += 1
         if victim is not None:
             sc["evictions"] += 1
-        mut[cid] += 1
         if victim is None:
             return 0
         if kind == 1:
@@ -1075,9 +1066,6 @@ def _run_interpreted(system: CmpSystem, target: int, warmup: int,
             core.finish_time = c_fin[i]
         for i, w in enumerate(wbufs):
             w._next_drain_at = wb_next[i]
-        for i, cache in enumerate(caches):
-            if mut[i]:
-                cache.membership_epoch += mut[i]
         if contention:
             bus._busy_until = bus_busy[0]
         if kind == 3:
@@ -1332,7 +1320,6 @@ def _run_interpreted(system: CmpSystem, target: int, warmup: int,
                             del plru._addrs[pi]
                             pc = scnt[fpeer]
                             pc["invalidations"] += 1
-                            mut[fpeer] += 1
                             pc["forwards"] += 1
                             delay = bus_transfer(issue)
                             stall = fill_dispose(cid, addr, is_write, issue)
@@ -1401,7 +1388,6 @@ def _run_interpreted(system: CmpSystem, target: int, warmup: int,
                             del plru._addrs[pi]
                             pc = scnt[fpeer]
                             pc["invalidations"] += 1
-                            mut[fpeer] += 1
                             pc["forwards"] += 1
                             delay = bus_transfer(issue)
                             stall = fill_dispose(cid, addr, is_write, issue)
@@ -1477,7 +1463,7 @@ def _run_interpreted(system: CmpSystem, target: int, warmup: int,
 #
 # Exact-type keying (not isinstance): SnugIntraCache subclasses SnugCache
 # with different access semantics, so it must fall through to the generic
-# CmpSystem loop, exactly like the batched core's dispatch.
+# CmpSystem loop.
 
 _KIND_BY_TYPE = {
     PrivateL2: 0,
@@ -1521,7 +1507,11 @@ def _make_impl(kind):
     return impl
 
 
-_KIND_NAMES = {0: "l2p", 1: "l2s", 2: "cc", 3: "dsr", 4: "snug"}
+_KIND_NAMES = {kind: scheme_type.name for scheme_type, kind in _KIND_BY_TYPE.items()}
+
+#: Names of the schemes with a compiled kernel; every other scheme runs on
+#: the generic fast loop.
+KERNEL_SCHEMES: tuple[str, ...] = tuple(_KIND_NAMES.values())
 
 _ENTRIES = {
     kind: _named_entry(f"compiled_kernel__{name}", _make_impl(kind))

@@ -138,7 +138,7 @@ class ParallelRunner:
         plan["cc_probs"] = list(plan["cc_probs"])
         # The stepping loop never changes results (the conformance
         # contract), so it must not fence off resume: a store written under
-        # --sim-core batch is byte-identical to — and resumable by — a
+        # --sim-core auto is byte-identical to — and resumable by — a
         # reference run of the same scenario.
         plan.pop("sim_core", None)
         manifest = {

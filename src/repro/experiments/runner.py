@@ -27,9 +27,6 @@ from ..workloads.trace import Trace
 __all__ = [
     "RunPlan",
     "SIM_CORES",
-    "AUTO_CORE_BY_SCHEME",
-    "AUTO_DEFAULT_CORE",
-    "resolve_auto_core",
     "ComboResult",
     "make_system",
     "run_traces",
@@ -53,32 +50,11 @@ CC_PROBS_FULL: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
 CC_PROBS_FAST: tuple[float, ...] = (0.0, 0.5, 1.0)
 
 
-#: The selectable simulation cores (see :mod:`repro.core`): ``auto`` picks
-#: the best core *per scheme* from the measured selection table below,
-#: ``fast``, ``batch`` and ``compiled`` name the three production loops,
+#: The selectable simulation cores (see :mod:`repro.core`): ``auto`` is the
+#: production core (:mod:`repro.core.compiled` — per-scheme kernels, with the
+#: fast loop for schemes that have none), ``fast`` the scalar event loop,
 #: ``reference`` the seed loop every other core is held bit-identical to.
-SIM_CORES: tuple[str, ...] = ("auto", "fast", "batch", "compiled", "reference")
-
-#: Measured per-scheme core selection for ``sim_core="auto"`` (geomean over
-#: the paper's miss-heavy mixes, BENCH_sim_speed.json).  The compiled SoA
-#: kernels win by ~10-15x for every scheme they cover; ``snug_intra`` has no
-#: compiled kernel (its intra-set semantics dispatch through the generic
-#: loop) and the batched core *regresses* it on these mixes (0.60x for l2s
-#: before the compiled core existed), so anything without a kernel resolves
-#: to the fast scalar loop — never to ``batch``.
-AUTO_CORE_BY_SCHEME: dict[str, str] = {
-    "l2p": "compiled",
-    "l2s": "compiled",
-    "cc": "compiled",
-    "dsr": "compiled",
-    "snug": "compiled",
-}
-AUTO_DEFAULT_CORE: str = "fast"
-
-
-def resolve_auto_core(scheme_name: str) -> str:
-    """The concrete core ``sim_core="auto"`` picks for *scheme_name*."""
-    return AUTO_CORE_BY_SCHEME.get(scheme_name, AUTO_DEFAULT_CORE)
+SIM_CORES: tuple[str, ...] = ("auto", "fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -92,7 +68,8 @@ class RunPlan:
     lives on the plan (not the CLI or backend) so it ships to every
     execution backend's workers with the rest of the run sizing.
 
-    ``sim_core`` selects the stepping loop (one of :data:`SIM_CORES`).  All
+    ``sim_core`` selects the stepping loop (one of :data:`SIM_CORES`; the
+    default ``auto`` is the compiled core, see :func:`make_system`).  All
     cores are bit-identical at the :class:`~repro.core.cmp.SimResult` level
     (the conformance contract), so the choice never changes results — it
     lives on the plan only so it ships to every backend's workers, and is
@@ -152,23 +129,16 @@ class ComboResult:
 def make_system(sim_core: str, config: SystemConfig, scheme, traces) -> CmpSystem:
     """Instantiate the requested stepping loop over *scheme* and *traces*.
 
-    ``auto`` resolves per scheme through :func:`resolve_auto_core`: the
-    compiled SoA kernels for the five schemes they cover, the fast scalar
-    loop for everything else.  The non-default cores are imported lazily so
-    the common path never pays for them.
+    ``auto`` is :class:`~repro.core.compiled.CompiledCmpSystem`, whose run
+    steps the schemes with a compiled kernel and hands every other scheme
+    to the fast scalar loop.
     """
     if sim_core == "auto":
-        sim_core = resolve_auto_core(getattr(scheme, "name", ""))
-    if sim_core == "fast":
-        return CmpSystem(config, scheme, traces)
-    if sim_core == "compiled":
         from ..core.compiled import CompiledCmpSystem
 
         return CompiledCmpSystem(config, scheme, traces)
-    if sim_core == "batch":
-        from ..core.batch import BatchCmpSystem
-
-        return BatchCmpSystem(config, scheme, traces)
+    if sim_core == "fast":
+        return CmpSystem(config, scheme, traces)
     if sim_core == "reference":
         from ..core.reference import ReferenceCmpSystem
 

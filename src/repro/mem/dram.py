@@ -58,15 +58,6 @@ class Dram:
         counters["busy_cycles"] += latency
         return latency
 
-    def busy_horizon(self) -> int:
-        """Next time every bank is free (0 when flat/idle).
-
-        Occupancy probe for the batched core's quiescent-run invariant:
-        bulk-committed local hits never reach DRAM, so the horizon must be
-        unchanged across a bulk commit.
-        """
-        return max(self._bank_free_at) if self._model_banks else 0
-
     def reset(self) -> None:
         """Clear bank occupancy and counters."""
         self._bank_free_at = [0] * self.config.num_banks

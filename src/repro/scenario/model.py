@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 from ..common.config import SystemConfig
 from ..common.errors import ConfigError
-from ..experiments.runner import DEFAULT_SCHEMES, RunPlan, normalize_schemes
+from ..experiments.runner import DEFAULT_SCHEMES, SIM_CORES, RunPlan, normalize_schemes
 from ..schemes.factory import SCHEMES
 from ..workloads.mixes import WorkloadMix
 from .serde import (
@@ -126,6 +126,11 @@ def plan_from_dict(data: Mapping, path: str = "plan") -> RunPlan:
             f"{path}.cc_probs: probabilities must be distinct at 1% "
             "granularity (task ids round to whole percent)"
         )
+    sim_core = as_str(take(data, "sim_core", path, defaults.sim_core), f"{path}.sim_core")
+    if sim_core not in SIM_CORES:
+        raise ConfigError(
+            f"{path}.sim_core: must be one of {', '.join(SIM_CORES)}, got {sim_core!r}"
+        )
     max_events_raw = take(data, "max_events", path, defaults.max_events)
     max_events = (
         None
@@ -152,10 +157,7 @@ def plan_from_dict(data: Mapping, path: str = "plan") -> RunPlan:
                 take(data, "snug_monitor", path, defaults.snug_monitor),
                 f"{path}.snug_monitor",
             ),
-            sim_core=as_str(
-                take(data, "sim_core", path, defaults.sim_core),
-                f"{path}.sim_core",
-            ),
+            sim_core=sim_core,
             max_events=max_events,
         )
     except ValueError as exc:  # RunPlan's own __post_init__

@@ -171,25 +171,6 @@ class OnlineDemandMonitor:
         if len(buf) >= self.chunk_accesses:
             self._flush(core)
 
-    def observe_many(self, core: int, block_addrs) -> None:
-        """Record a run of L2 references in one call (batched core).
-
-        Equivalent to calling :meth:`observe` per address: the streaming
-        profiler is chunk-boundary-invariant, so flushing a larger buffer
-        once yields the same profile as flushing at every chunk crossing.
-        """
-        if len(block_addrs) == 0:
-            return
-        buf = self._buffers[core]
-        if isinstance(block_addrs, np.ndarray):
-            buf.extend(block_addrs.tolist())
-        elif type(block_addrs) is list:
-            buf.extend(block_addrs)
-        else:
-            buf.extend(int(a) for a in block_addrs)
-        if len(buf) >= self.chunk_accesses:
-            self._flush(core)
-
     def _flush(self, core: int) -> None:
         buf = self._buffers[core]
         if not buf:
@@ -233,9 +214,6 @@ class ScheduledGtMonitor:
         self._next = 0
 
     def observe(self, core: int, block_addr: int) -> None:
-        """No per-access state: the classification is already computed."""
-
-    def observe_many(self, core: int, block_addrs) -> None:
         """No per-access state: the classification is already computed."""
 
     def latch(self) -> Sequence[Sequence[bool]]:
@@ -337,10 +315,10 @@ class SnugCache(PrivateL2Base):
 
     def _flush_cc_in_set(self, core: int, set_index: int) -> None:
         """Invalidate hosted cooperative blocks in a set flipping to taker."""
-        slice_ = self.slices[core]
-        doomed = [line for line in slice_.set_at(set_index) if line.cc]
+        lruset = self.slices[core].set_at(set_index)
+        doomed = [line for line in lruset if line.cc]
         for line in doomed:
-            slice_.remove_line(set_index, line)
+            lruset.remove(line)
             self._slice_stats[core].add("cc_flushed")
 
     # -- demand path -----------------------------------------------------------
@@ -352,45 +330,6 @@ class SnugCache(PrivateL2Base):
     def _on_local_hit(self, core: int, block_addr: int, now: int) -> None:
         if self.stage == STAGE_IDENTIFY or self.snug_cfg.monitor_during_group:
             self.meta[core].monitors[block_addr & self._set_mask].on_real_hit()
-
-    # -- bulk-access protocol ------------------------------------------------
-    #
-    # Local hits never touch shadows, G/T bits or spilling, so the generic
-    # private-slice bulk path applies — with two SNUG-specific additions:
-    # the stage boundary is an interaction point (the latch must fire from
-    # a scalar access at the exact reference time, so bulk consumption stops
-    # at ``_stage_end``), and hits feed the demand machinery (attached
-    # monitor observation + per-set mod-p real-hit ticks).
-
-    bulk_has_horizon = True
-
-    def bulk_horizon(self) -> Optional[int]:
-        return self._stage_end
-
-    def bulk_commit(self, core: int, addrs: np.ndarray, writes: np.ndarray) -> None:
-        # Mirrors the scalar ordering: _begin_access observes every
-        # reference before the hit is processed and counted.
-        if self.monitor is not None:
-            self.monitor.observe_many(core, addrs)
-        super().bulk_commit(core, addrs, writes)
-
-    def _on_bulk_local_hits(self, core: int, addrs: np.ndarray) -> None:
-        # The monitoring gate depends only on the stage, which cannot change
-        # inside a horizon-bounded run; per-set counters see only their own
-        # hit count, so the per-access ticks fold into one call per set.
-        if self.stage == STAGE_IDENTIFY or self.snug_cfg.monitor_during_group:
-            monitors = self.meta[core].monitors
-            if len(addrs) <= 24:
-                mask = self._set_mask
-                alist = addrs if type(addrs) is list else addrs.tolist()
-                for a in alist:
-                    monitors[a & mask].on_real_hit()
-                return
-            sets, counts = np.unique(
-                np.asarray(addrs) & self._set_mask, return_counts=True
-            )
-            for set_index, hits in zip(sets.tolist(), counts.tolist()):
-                monitors[set_index].on_real_hits(hits)
 
     def access(self, core: int, block_addr: int, is_write: bool, now: int) -> AccessResult:
         self._begin_access(core, block_addr, now)

@@ -1,29 +1,27 @@
-"""Non-reference-core conformance: bit-identical to the seed on every path.
+"""Production-core conformance: bit-identical to the seed on every path.
 
-The batched core (:mod:`repro.core.batch`) advances locally-resolvable
-accesses in bulk and falls back to scalar stepping at exactly the first
-non-local access; the compiled core (:mod:`repro.core.compiled`) keeps all
-cache state in flat SoA containers and steps whole runs through per-scheme
-kernels.  Both must match the seed loop kept in :mod:`repro.core.reference`
-term for term.  This suite holds that contract at the
-``SimResult.to_dict()`` level — full dict equality, floats with ``==`` —
-across all six schemes, and on the edge paths where the fast paths degrade
-or interact with other subsystems:
+The compiled core (:mod:`repro.core.compiled`, ``--sim-core auto``) keeps
+all cache state in flat SoA containers and steps whole runs through
+per-scheme kernels; the fast core (:mod:`repro.core.cmp`) steps the scheme
+objects one access at a time.  Both must match the seed loop kept in
+:mod:`repro.core.reference` term for term.  This suite holds that contract
+at the ``SimResult.to_dict()`` level — full dict equality, floats with
+``==`` — across all six schemes, and on the edge paths where the fast
+paths interact with other subsystems:
 
-* ``l2s`` under a contention-modelled bus (the batched core must
-  degenerate to scalar stepping, the compiled kernels model the bus
-  occupancy in-kernel — both still bit-identical);
-* ``cc`` under contention + banked DRAM with ``check_invariants=True``
-  on the batched side (the occupancy models must be untouched by bulk
-  consumption);
+* ``l2s`` under a contention-modelled bus (the compiled kernels model the
+  bus occupancy in-kernel);
+* ``cc`` under contention + banked DRAM;
 * ``snug`` with an attached :class:`OnlineDemandMonitor` (the observed
   reference stream must be the same stream, latch for latch; the
   compiled core falls back to its interpreted driver here);
+* ``cc`` with a fractional spill probability (the C kernel's prefetched
+  RNG ring must replay the scalar draw sequence);
 * the budget-exhausted :class:`SimulationError` (same enriched per-core
   progress message from every production loop);
-* CLI stores written under ``--sim-core batch`` / ``--sim-core compiled``
-  vs ``--sim-core reference`` (byte-identical records, same manifest —
-  the store-level face of the contract).
+* CLI stores written under ``--sim-core auto`` / ``--sim-core fast`` vs
+  ``--sim-core reference`` (byte-identical records, same manifest — the
+  store-level face of the contract).
 
 The compiled core's kernel *tiers* (Numba JIT / native C / interpreted) are
 each bit-identical as well; the interpreted tier is pinned by
@@ -41,18 +39,16 @@ import pytest
 
 from repro.common.config import scaled_config
 from repro.common.errors import SimulationError
-from repro.core.batch import BatchCmpSystem
 from repro.core.cmp import CmpSystem
-from repro.core.compiled import CompiledCmpSystem
+from repro.core.compiled import KERNEL_SCHEMES, CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem
 from repro.schemes.factory import SCHEMES, make_scheme
 from repro.workloads.mixes import build_mix_traces, get_mix
 
 ALL_SCHEMES = sorted(SCHEMES)
 
-#: The production loops held to the conformance contract (the fast scalar
-#: loop rides along in the all-scheme sweep below).
-PRODUCTION_CORES = [BatchCmpSystem, CompiledCmpSystem]
+#: The production loops held to the conformance contract.
+PRODUCTION_CORES = [CmpSystem, CompiledCmpSystem]
 
 
 def build(config_mut=None, *, scale="tiny", n_accesses=3_000):
@@ -71,30 +67,22 @@ def run_core(core_cls, cfg, scheme_name, traces, target, warmup, **core_kwargs):
 
 class TestSchemeEquivalence:
     @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
-    def test_batch_matches_reference_tiny(self, scheme_name):
+    def test_matches_reference_tiny(self, scheme_name):
         cfg, traces = build()
         ref = run_core(ReferenceCmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
-        # check_invariants asserts around every bulk commit that the
-        # occupancy models (bus, DRAM, write buffers) were not advanced.
-        batch = run_core(
-            BatchCmpSystem, cfg, scheme_name, traces, 30_000, 5_000,
-            check_invariants=True,
-        )
         fast = run_core(CmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
         compiled = run_core(
             CompiledCmpSystem, cfg, scheme_name, traces, 30_000, 5_000
         )
-        assert batch == ref
         assert fast == ref
         assert compiled == ref
 
     @pytest.mark.parametrize("core_cls", PRODUCTION_CORES)
     @pytest.mark.parametrize("scheme_name", ["l2s", "snug"])
     def test_matches_reference_small(self, core_cls, scheme_name):
-        # Small scale exercises deeper runs (longer quiescent stretches,
-        # more wraps); l2s covers the ordered-merge commit and the compiled
-        # bank-routed probe, snug the stage-horizon clamping and the
-        # compiled stage/shadow/latch machinery.
+        # Small scale exercises deeper runs (more wraps); l2s covers the
+        # compiled bank-routed probe, snug the compiled stage/shadow/latch
+        # machinery.
         cfg, traces = build(scale="small", n_accesses=4_000)
         ref = run_core(ReferenceCmpSystem, cfg, scheme_name, traces, 30_000, 5_000)
         out = run_core(core_cls, cfg, scheme_name, traces, 30_000, 5_000)
@@ -109,7 +97,6 @@ class TestEdgePaths:
                 c, bus=dataclasses.replace(c.bus, model_contention=True)
             )
         )
-        assert not make_scheme("l2s", cfg).bulk_supported
         ref = run_core(ReferenceCmpSystem, cfg, "l2s", traces, 20_000, 2_000)
         out = run_core(core_cls, cfg, "l2s", traces, 20_000, 2_000)
         assert out == ref
@@ -123,12 +110,8 @@ class TestEdgePaths:
                 dram=dataclasses.replace(c.dram, model_banks=True),
             )
         )
-        # check_invariants asserts around every bulk commit that the
-        # occupancy models (bus, DRAM, write buffers) were not advanced;
-        # the compiled core has no bulk commits to instrument.
-        kwargs = {"check_invariants": True} if core_cls is BatchCmpSystem else {}
         ref = run_core(ReferenceCmpSystem, cfg, "cc", traces, 20_000, 2_000)
-        out = run_core(core_cls, cfg, "cc", traces, 20_000, 2_000, **kwargs)
+        out = run_core(core_cls, cfg, "cc", traces, 20_000, 2_000)
         assert out == ref
 
     @pytest.mark.parametrize("core_cls", PRODUCTION_CORES)
@@ -164,7 +147,7 @@ class TestEdgePaths:
     def test_budget_exhausted_message_identical(self):
         cfg, traces = build()
         messages = []
-        for core_cls in (CmpSystem, BatchCmpSystem, CompiledCmpSystem):
+        for core_cls in PRODUCTION_CORES:
             scheme = make_scheme("l2p", cfg)
             with pytest.raises(SimulationError) as exc_info:
                 core_cls(cfg, scheme, list(traces)).run(200_000, max_events=5_000)
@@ -175,9 +158,9 @@ class TestEdgePaths:
 
 
 class TestCliStoreConformance:
-    @pytest.mark.parametrize("core", ["batch", "compiled"])
+    @pytest.mark.parametrize("core", ["auto", "fast"])
     def test_sim_core_stores_byte_identical(self, tmp_path, core):
-        """`--sim-core batch`/`compiled` and `--sim-core reference` persist
+        """`--sim-core auto`/`fast` and `--sim-core reference` persist
         byte-identical per-task records under one manifest."""
         from repro.cli import main
         from repro.engine.store import ResultStore
@@ -207,7 +190,7 @@ class TestCliStoreConformance:
 
         store = tmp_path / "store"
         assert main(["scenario", "run", str(preset_path("smoke-tiny")),
-                     "--jobs", "0", "--sim-core", "compiled",
+                     "--jobs", "0", "--sim-core", "auto",
                      "--store", str(store)]) == 0
         assert main(["scenario", "run", str(preset_path("smoke-tiny")),
                      "--jobs", "0", "--sim-core", "fast",
@@ -221,14 +204,14 @@ class TestCliStoreConformance:
 _CHILD_SCRIPT = """\
 import json, sys
 from repro.common.config import scaled_config
-from repro.core.compiled import CompiledCmpSystem, kernel_mode
+from repro.core.compiled import KERNEL_SCHEMES, CompiledCmpSystem, kernel_mode
 from repro.schemes.factory import make_scheme
 from repro.workloads.mixes import build_mix_traces, get_mix
 
 cfg = scaled_config("tiny", seed=7)
 traces = build_mix_traces(get_mix("c4_0"), cfg.l2.num_sets, 3000, seed=0)
 results = {}
-for name in ("l2p", "l2s", "cc", "dsr", "snug"):
+for name in KERNEL_SCHEMES:
     scheme = make_scheme(name, cfg)
     system = CompiledCmpSystem(cfg, scheme, list(traces))
     results[name] = system.run(30000, warmup_instructions=5000).to_dict()
@@ -262,7 +245,7 @@ class TestInterpretedFallback:
         cfg, traces = build()
         return json.loads(json.dumps({
             name: run_core(ReferenceCmpSystem, cfg, name, traces, 30_000, 5_000)
-            for name in ("l2p", "l2s", "cc", "dsr", "snug")
+            for name in KERNEL_SCHEMES
         }))
 
     def test_interpreted_kernels_bit_identical_with_notice(self):

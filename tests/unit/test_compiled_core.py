@@ -1,7 +1,7 @@
 """Unit tests for the compiled (SoA + typed-kernel) core's plumbing.
 
 Whole-system bit-identicality is pinned by
-``tests/integration/test_batch_conformance.py`` and the golden suites;
+``tests/integration/test_core_conformance.py`` and the golden suites;
 this file localizes regressions in the machinery *around* the kernels:
 
 * tier reporting (``kernel_mode`` / ``numba_active``) stays consistent

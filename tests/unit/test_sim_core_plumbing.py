@@ -1,6 +1,6 @@
 """Plumbing for the selectable stepping loop and the event-budget valve.
 
-``RunPlan.sim_core`` / ``RunPlan.max_events`` ship the batched-core knobs
+``RunPlan.sim_core`` / ``RunPlan.max_events`` ship the stepping-loop knobs
 to every execution backend with the rest of the run sizing.  The invariants
 this file pins:
 
@@ -11,6 +11,8 @@ this file pins:
   abort runs the default would finish) and therefore hashes;
 * scenario files written before either knob existed parse and re-serialize
   byte-identically (defaults are omitted from ``plan_to_dict``);
+* ``auto`` is the compiled core for every scheme, and the retired core
+  names (``batch``, ``compiled``) are refused with pathed errors;
 * the CLI flags reach :class:`EngineOptions` without flipping a serial run
   onto the engine path;
 * :meth:`SimResult.from_dict` still accepts pre-window-metrics payloads
@@ -22,19 +24,11 @@ import dataclasses
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.core.batch import BatchCmpSystem
 from repro.core.cmp import CmpSystem, SimResult
 from repro.core.compiled import CompiledCmpSystem
 from repro.core.reference import ReferenceCmpSystem
-from repro.experiments.runner import (
-    AUTO_CORE_BY_SCHEME,
-    AUTO_DEFAULT_CORE,
-    SIM_CORES,
-    RunPlan,
-    make_system,
-    resolve_auto_core,
-)
-from repro.scenario.model import plan_from_dict, plan_to_dict
+from repro.experiments.runner import SIM_CORES, RunPlan, make_system, run_traces
+from repro.scenario.model import Scenario, plan_from_dict, plan_to_dict
 from repro.scenario.run import EngineOptions, scenario_from_flags
 
 
@@ -63,9 +57,9 @@ class TestPlanSerde:
         assert "sim_core" not in d and "max_events" not in d
 
     def test_round_trip(self):
-        plan = RunPlan(sim_core="batch", max_events=5_000)
+        plan = RunPlan(sim_core="fast", max_events=5_000)
         d = plan_to_dict(plan)
-        assert d["sim_core"] == "batch" and d["max_events"] == 5_000
+        assert d["sim_core"] == "fast" and d["max_events"] == 5_000
         assert plan_from_dict(d) == plan
 
     def test_legacy_dict_parses(self):
@@ -83,7 +77,7 @@ class TestExperimentIdentity:
     def test_sim_core_excluded_from_content_hash(self):
         scenario = scenario_from_flags(scale="tiny", seed=7, mix="c4_0")
         rehomed = dataclasses.replace(
-            scenario, plan=dataclasses.replace(scenario.plan, sim_core="batch")
+            scenario, plan=dataclasses.replace(scenario.plan, sim_core="reference")
         )
         assert scenario.content_hash() == rehomed.content_hash()
 
@@ -103,76 +97,30 @@ class TestExperimentIdentity:
             ParallelRunner(
                 config, RunPlan(sim_core=core), jobs=0
             )._manifest()
-            for core in ("batch", "reference")
+            for core in ("fast", "reference")
         ]
         assert manifests[0] == manifests[1]
         assert "sim_core" not in manifests[0]["plan"]
         assert "max_events" in manifests[0]["plan"]
 
 
-class TestAutoSelectionTable:
-    """``auto`` resolves per scheme from the measured table, never to batch.
+def _tiny_inputs(n_accesses=200):
+    from repro.common.config import tiny_config
+    from repro.workloads.mixes import build_mix_traces, get_mix
 
-    The batched core regresses l2s to 0.60x on the paper's miss-heavy mixes,
-    which is the bug the table exists to fix: every scheme with a compiled
-    kernel lands on it, everything else (``snug_intra``, unknown names)
-    lands on the fast scalar loop.
-    """
-
-    def test_every_registered_scheme_resolves(self):
-        from repro.schemes.factory import SCHEMES
-
-        expected = {
-            "l2p": "compiled",
-            "l2s": "compiled",
-            "cc": "compiled",
-            "dsr": "compiled",
-            "snug": "compiled",
-            "snug_intra": "fast",
-        }
-        assert set(expected) == set(SCHEMES)
-        for name, core in expected.items():
-            assert resolve_auto_core(name) == core, name
-
-    def test_unknown_scheme_gets_default(self):
-        assert resolve_auto_core("out_of_tree") == AUTO_DEFAULT_CORE == "fast"
-
-    def test_table_never_selects_batch(self):
-        # The l2s regression guard: no scheme may auto-resolve to batch.
-        assert "batch" not in AUTO_CORE_BY_SCHEME.values()
-        assert AUTO_DEFAULT_CORE != "batch"
-
-    def test_table_only_names_real_cores(self):
-        for core in {*AUTO_CORE_BY_SCHEME.values(), AUTO_DEFAULT_CORE}:
-            assert core in SIM_CORES and core != "auto"
-
-    def test_auto_dispatches_through_table(self):
-        from repro.common.config import tiny_config
-        from repro.schemes.factory import make_scheme
-        from repro.workloads.mixes import build_mix_traces, get_mix
-
-        config = tiny_config(seed=7)
-        traces = build_mix_traces(get_mix("c4_0"), config.l2.num_sets, 200, 0)
-        by_core = {"compiled": CompiledCmpSystem, "fast": CmpSystem}
-        for name in ("l2p", "l2s", "cc", "dsr", "snug", "snug_intra"):
-            scheme = make_scheme(name, config)
-            system = make_system("auto", config, scheme, list(traces))
-            assert type(system) is by_core[resolve_auto_core(name)], name
+    config = tiny_config(seed=7)
+    traces = build_mix_traces(get_mix("c4_0"), config.l2.num_sets, n_accesses, 0)
+    return config, traces
 
 
 class TestDispatch:
     def test_make_system_selects_core(self):
-        from repro.common.config import tiny_config
         from repro.schemes.l2p import PrivateL2
-        from repro.workloads.mixes import build_mix_traces, get_mix
 
-        config = tiny_config(seed=7)
-        traces = build_mix_traces(get_mix("c4_0"), config.l2.num_sets, 200, 0)
+        config, traces = _tiny_inputs()
         expected = {
-            "auto": CompiledCmpSystem,  # l2p sits in the selection table
+            "auto": CompiledCmpSystem,
             "fast": CmpSystem,
-            "batch": BatchCmpSystem,
-            "compiled": CompiledCmpSystem,
             "reference": ReferenceCmpSystem,
         }
         assert set(expected) == set(SIM_CORES)
@@ -182,10 +130,51 @@ class TestDispatch:
         with pytest.raises(ConfigError, match="sim_core"):
             make_system("warp", config, PrivateL2(config), list(traces))
 
+    def test_auto_is_compiled_for_every_scheme(self):
+        # Schemes without a kernel (snug_intra) still get the compiled
+        # system; its run() hands them to the fast loop.
+        from repro.schemes.factory import SCHEMES, make_scheme
+
+        config, traces = _tiny_inputs()
+        for name in SCHEMES:
+            system = make_system("auto", config, make_scheme(name, config), list(traces))
+            assert type(system) is CompiledCmpSystem, name
+
+    def test_snug_intra_auto_matches_fast(self):
+        config, traces = _tiny_inputs(n_accesses=2_000)
+        results = [
+            run_traces("snug_intra", config, traces, 20_000, 2_000,
+                       sim_core=core).to_dict()
+            for core in ("auto", "fast")
+        ]
+        assert results[0] == results[1]
+
+
+class TestRetiredCores:
+    """``batch`` and ``compiled`` were core names once; both are refused."""
+
+    @pytest.mark.parametrize("core", ["batch", "compiled"])
+    def test_scenario_plan_rejects_retired_core(self, core):
+        data = scenario_from_flags(scale="tiny", seed=7, mix="c4_0").to_dict()
+        data["plan"]["sim_core"] = core
+        with pytest.raises(
+            ConfigError, match=r"plan\.sim_core: must be one of auto, fast, reference"
+        ):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("core", ["batch", "compiled"])
+    def test_cli_rejects_retired_core(self, core):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["scenario", "run", "smoke-tiny", "--sim-core", core]
+            )
+
 
 class TestEngineOptions:
     def test_sim_core_and_profile_do_not_request_engine(self):
-        assert not EngineOptions(sim_core="batch", profile="x.pstats").engine_requested
+        assert not EngineOptions(sim_core="fast", profile="x.pstats").engine_requested
         assert EngineOptions(jobs=2).engine_requested
 
     def test_cli_flags_reach_options(self):
@@ -193,10 +182,10 @@ class TestEngineOptions:
 
         args = build_parser().parse_args(
             ["scenario", "run", "smoke-tiny",
-             "--sim-core", "batch", "--profile", "out.pstats"]
+             "--sim-core", "fast", "--profile", "out.pstats"]
         )
         options = _engine_options(args)
-        assert options.sim_core == "batch"
+        assert options.sim_core == "fast"
         assert options.profile == "out.pstats"
         with pytest.raises(SystemExit):
             build_parser().parse_args(
