@@ -14,7 +14,9 @@ analytically known:
 * **uniform-random** over the ``W_s`` blocks — stack distances spread over
   ``[1, W_s]``, giving smooth partial hit rates (capacity-hungry but not
   binary);
-* **streaming** — a never-repeating tag sequence (compulsory misses only).
+* **streaming** — a tag sequence unique within a phase (compulsory misses
+  only, within the phase; every phase restarts it at the same base, so a
+  later phase re-touches the stream blocks of an earlier one).
 
 Because ``block_required(S, I)`` under LRU equals the deepest hit distance
 (Section 2.1), the per-set demand measured by the paper's methodology is
@@ -33,7 +35,7 @@ index-bit flipping can find complementary sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -43,8 +45,12 @@ from .trace import Trace
 
 __all__ = ["Band", "Phase", "WorkloadSpec", "draw_demand_map", "generate_trace"]
 
-#: Base tag for streaming (never-reused) blocks; loop tags live in [0, W_s).
+#: Base tag for streaming blocks (unique within a phase); loop tags live in
+#: [0, W_s).
 _STREAM_TAG_BASE = 1 << 20
+
+#: Accesses per block of the phase kernel (bounds its temporaries).
+_BLOCK_ACCESSES = 1 << 16
 
 #: Namespace seed for profile-intrinsic randomness (demand maps).
 _PROFILE_SEED_NS = 0x534E5547  # "SNUG"
@@ -76,7 +82,8 @@ class Phase:
     duration:
         Relative length of this phase within the workload.
     stream_frac:
-        Fraction of accesses that stream (never reuse).
+        Fraction of accesses that stream: tags unique within this phase
+        (no reuse inside it; the next phase starts its stream tags over).
     random_frac:
         Fraction of accesses that touch a uniform-random block of the
         set's working set.  The remainder (``1 - stream - random``) walks
@@ -173,26 +180,59 @@ def _generate_phase(
     stream_cut = phase.stream_frac
     random_cut = phase.stream_frac + phase.random_frac
 
-    cyc_ptr = np.zeros(num_sets, dtype=np.int64)
-    stream_ptr = np.full(num_sets, _STREAM_TAG_BASE, dtype=np.int64)
+    # Kernel: the only sequential state is how many earlier accesses each
+    # (set, pattern) pair has issued in this phase -- a streaming access's
+    # tag is _STREAM_TAG_BASE plus that count, a cyclic one's is the count
+    # mod W_s.  Each block ranks its accesses within their (pattern, set)
+    # group with one stable sort and adds the counts carried from earlier
+    # blocks; fixed-size blocks keep the temporaries O(block).  The key is
+    # pattern-major, so the sorted block is three contiguous slices:
+    # streaming, uniform-random, cyclic.
+    n_keys = 3 * num_sets
+    # A 16-bit key lets NumPy's stable sort use radix sort.
+    key_dtype = np.uint16 if n_keys <= 1 << 16 else np.int64
+    set_of_key = np.tile(np.arange(num_sets, dtype=np.int64), 3)
+    w_of_key = np.tile(wmap, 3)
+    issued = np.zeros(n_keys, dtype=np.int64)
     addrs = np.empty(n_accesses, dtype=np.int64)
-
-    # Hot loop: per-access pattern dispatch with per-set pointer state.
-    # Arrays are pre-drawn above so the loop is branch + arithmetic only.
-    for i in range(n_accesses):
-        s = int(sets[i])
-        k = kind[i]
-        if k < stream_cut:
-            tag = int(stream_ptr[s])
-            stream_ptr[s] += 1
-        elif k < random_cut:
-            tag = int(rand_pick[i] * wmap[s])
-        else:
-            tag = int(cyc_ptr[s])
-            nxt = tag + 1
-            cyc_ptr[s] = 0 if nxt >= wmap[s] else nxt
-        addrs[i] = tag * num_sets + s
+    for lo in range(0, n_accesses, _BLOCK_ACCESSES):
+        hi = min(lo + _BLOCK_ACCESSES, n_accesses)
+        k = kind[lo:hi]
+        key = (k >= stream_cut).astype(key_dtype)
+        key += k >= random_cut
+        key *= num_sets
+        key += sets[lo:hi].astype(key_dtype, copy=False)
+        counts = np.bincount(key, minlength=n_keys)
+        order = np.argsort(key, kind="stable")
+        # nth issue of each access's (pattern, set) pair, in sorted order.
+        tag = np.arange(hi - lo) + np.repeat(issued - (np.cumsum(counts) - counts), counts)
+        issued += counts
+        w = np.repeat(w_of_key, counts)
+        stream_end = int(counts[:num_sets].sum())
+        random_end = stream_end + int(counts[num_sets : 2 * num_sets].sum())
+        tag[:stream_end] += _STREAM_TAG_BASE
+        rand = slice(stream_end, random_end)
+        tag[rand] = rand_pick[lo + order[rand]] * w[rand]
+        np.remainder(tag[random_end:], w[random_end:], out=tag[random_end:])
+        tag *= num_sets
+        tag += np.repeat(set_of_key, counts)
+        addrs[lo:hi][order] = tag
     return addrs
+
+
+def _phase_lengths(spec: WorkloadSpec, n_accesses: int) -> List[int]:
+    """Accesses per phase (duration-proportional; the last takes the rest)."""
+    total_dur = sum(p.duration for p in spec.phases)
+    lengths = []
+    remaining = n_accesses
+    for pi, phase in enumerate(spec.phases):
+        if pi == len(spec.phases) - 1:
+            n_phase = remaining
+        else:
+            n_phase = min(int(round(n_accesses * phase.duration / total_dur)), remaining)
+        remaining -= n_phase
+        lengths.append(n_phase)
+    return lengths
 
 
 def generate_trace(
@@ -221,19 +261,11 @@ def generate_trace(
     demand_rng = np.random.default_rng(spec.demand_seed())
     rng = np.random.default_rng(derive_seed(seed, spec.name, "stream"))
 
-    total_dur = sum(p.duration for p in spec.phases)
-    chunks = []
-    remaining = n_accesses
-    for pi, phase in enumerate(spec.phases):
-        if pi == len(spec.phases) - 1:
-            n_phase = remaining
-        else:
-            n_phase = int(round(n_accesses * phase.duration / total_dur))
-            n_phase = min(n_phase, remaining)
-        if n_phase <= 0:
-            continue
-        remaining -= n_phase
-        chunks.append(_generate_phase(phase, num_sets, n_phase, demand_rng, rng))
+    chunks = [
+        _generate_phase(phase, num_sets, n_phase, demand_rng, rng)
+        for phase, n_phase in zip(spec.phases, _phase_lengths(spec, n_accesses))
+        if n_phase > 0
+    ]
     addrs = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
     gaps = 1 + rng.poisson(max(spec.mean_gap - 1.0, 0.0), size=len(addrs))

@@ -39,6 +39,9 @@ NON_SIMRESULT_GOLDENS = {
     # Scenario identity hashes; pinned by
     # tests/integration/test_golden_scenario_hashes.py.
     "golden_scenario_hashes.json",
+    # SHA-256 digests of generated trace bytes; pinned by
+    # tests/integration/test_golden_trace_digests.py.
+    "golden_trace_digests.json",
 }
 
 SIMRESULT_GOLDENS = sorted(
