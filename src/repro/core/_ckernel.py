@@ -1,20 +1,21 @@
-"""Native (C) tier of the compiled simulation core.
+"""Native C kernel of the compiled simulation core.
 
-The compiled core has three tiers per scheme — Numba JIT array kernel,
-this native C kernel, and the interpreted SoA driver — all bit-identical.
-This module owns the middle tier: a single C translation unit (embedded
-below as a string) holding one structure-of-arrays event loop for all five
-kernel schemes, compiled **on first use with the system C compiler** (no
-new package is installed; the toolchain already ships in the image) and
-loaded through :mod:`ctypes`.  The build is cached on disk keyed by a hash
-of the source, so each source revision compiles exactly once per machine.
+A single C translation unit (embedded below as a string) holds one
+structure-of-arrays event loop for all five kernel schemes.  It is compiled
+**on first use with the system C compiler** (no package is installed; the
+toolchain already ships in the image) and loaded through :mod:`ctypes`.
+The build is cached on disk keyed by a hash of the source, so each source
+revision compiles exactly once per machine.
 
 Everything mutable lives in preallocated ``int64`` NumPy arrays passed to C
-as one pointer table; the Python wrapper encodes the live system state into
-the arrays, runs the kernel, and merges the arrays back into the real
-objects — including stat-counter *first-touch order*, reproduced via stamp
-arrays, because ``SimResult.to_dict()`` round-trips through JSON where dict
-insertion order is part of byte-identity.
+as one pointer table.  :func:`run_kernel` encodes the trace columns straight
+from each core's ``Trace`` arrays and the scalar state from the live
+objects, runs the kernel, and merges back what a ``SimResult`` reads:
+counters — in *first-touch order*, replayed from stamp arrays, because
+``SimResult.to_dict()`` round-trips through JSON where dict insertion order
+is part of byte-identity — core cursors, write buffers, DRAM, bus, DSR
+PSEL and the SNUG stage scalars.  The cache lines and SNUG per-set state
+are decoded on demand (``CompiledCmpSystem.decode``).
 
 The kernel is resumable: all loop state (event count, finish countdown,
 round-robin cursors, SNUG stage machinery) lives in the arrays, so the C
@@ -24,14 +25,14 @@ and peer-pick values are prefetched from the scheme's real
 ``numpy.random.Generator`` streams into ring buffers (batch draws are
 elementwise-identical to repeated scalar draws), and the kernel exits with
 ``RC_RNG`` when a buffer runs low so the wrapper can top it up and resume.
+After the run the generators are rewound to the draws actually consumed.
 
 Situations the C encoding does not cover return ``None`` from
-:func:`run_kernel` and fall back to the interpreted driver (which handles
-any state):  SNUG with an *attached* online monitor (``scheme.monitor``),
-single-core spill schemes, >64 cores, systems with non-pristine structural
-cache state, and any environment where the shared library cannot be built
-(``REPRO_NO_CKERNEL=1``, no C compiler, or a failed compile — the reason is
-reported via :func:`reason` and surfaces in the one-line fallback notice).
+:func:`run_kernel`, and the caller runs the bit-identical fast loop: SNUG
+with an *attached* online monitor (``scheme.monitor``), single-core spill
+schemes, more than 64 cores, systems with non-pristine structural cache
+state, and any host where the shared library cannot be built
+(``REPRO_NO_CKERNEL=1``, no C compiler, or a failed compile).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import hashlib
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
 from typing import List, Optional
 
@@ -51,7 +51,7 @@ from ..cache.block import CacheLine
 from ..schemes.base import Outcome
 from .cmp import CmpSystem, SimResult, budget_exhausted_error
 
-__all__ = ["run_kernel", "reason", "lib_available"]
+__all__ = ["run_kernel", "lib_available"]
 
 #: Outcome keys in enum order (the reference core's prepopulated-dict order).
 _OUT_KEYS = tuple(o.value for o in Outcome)
@@ -107,10 +107,11 @@ _C_SOURCE = r"""
  * One translation unit, one exported function:
  *     int64_t run_kernel(void **A);
  * where A is a pointer table whose slot order mirrors the _A_* constants in
- * the Python wrapper.  All semantics transcribe the interpreted SoA driver
- * (core/compiled.py) term for term, stat-counter first-touch order included
- * (the stamp arrays record the global first-touch tick of each counter
- * slot; the Python merge replays them in stamp order).
+ * the Python wrapper.  All semantics transcribe the scheme objects' access
+ * paths (schemes/*.py, stepped by core/cmp.py) term for term, stat-counter
+ * first-touch order included (the stamp arrays record the global
+ * first-touch tick of each counter slot; the Python merge replays them in
+ * stamp order).
  */
 #include <stdint.h>
 
@@ -460,7 +461,7 @@ static void snug_spill(Ctx *C, i64 owner, i64 vaddr, i64 vowner, i64 si,
 }
 
 /* SNUG IDENTIFY->GROUP latch from the per-set demand counters (the
- * attached-monitor case never reaches the C tier). */
+ * attached-monitor case never reaches this kernel). */
 static void latch_gt(Ctx *C) {
     for (i64 c = 0; c < C->ncores; c++) {
         i64 *gt = C->gt + c * C->nsets;
@@ -512,11 +513,13 @@ static void advance_stage(Ctx *C, i64 now) {
 }
 
 /* Demand fill into cid's slice/bank + scheme-specific victim disposal.
+ * The line is owned by core `owner`: cid itself, except for l2s banks.
  * Returns the write-buffer stall, if any. */
-static i64 fill_dispose(Ctx *C, i64 cid, i64 addr, i64 dirty, i64 now) {
+static i64 fill_dispose(Ctx *C, i64 cid, i64 owner, i64 addr, i64 dirty,
+                        i64 now) {
     i64 va = 0, vm = 0;
     int ev = do_fill(C, cid, addr & C->imask, addr,
-                     (dirty ? 1 : 0) | (cid << 3), &va, &vm);
+                     (dirty ? 1 : 0) | (owner << 3), &va, &vm);
     if (!ev) return 0;
     i64 *sc = C->slcnt + cid * NSL, *ss = C->slstamp + cid * NSL;
     if (C->kind == 1) {
@@ -685,11 +688,11 @@ i64 run_kernel(void **A) {
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, addr, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     latency = mem_fetch(C, addr, issue);
-                    stall = fill_dispose(C, cid, addr, is_write, issue);
+                    stall = fill_dispose(C, cid, cid, addr, is_write, issue);
                     BUMP(sc, ss, SL_DRAMF, 1);
                     latency += stall; okey = 3;
                 }
@@ -712,11 +715,11 @@ i64 run_kernel(void **A) {
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, bank, la, issue)) {
-                    stall = fill_dispose(C, bank, la, 1, issue);
+                    stall = fill_dispose(C, bank, cid, la, 1, issue);
                     latency = base + stall; okey = 1;
                 } else {
                     i64 lat = mem_fetch(C, addr, issue);
-                    stall = fill_dispose(C, bank, la, is_write, issue);
+                    stall = fill_dispose(C, bank, cid, la, is_write, issue);
                     BUMP(sc, ss, SL_DRAMF, 1);
                     latency = base + lat + stall; okey = 3;
                 }
@@ -742,7 +745,7 @@ i64 run_kernel(void **A) {
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, addr, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     if (shadow_hit(C, cid, si, addr)) {
@@ -788,12 +791,12 @@ i64 run_kernel(void **A) {
                         BUMP(pc, ps, SL_INVAL, 1);
                         BUMP(pc, ps, SL_FWD, 1);
                         i64 delay = bus_transfer(C, issue);
-                        stall = fill_dispose(C, cid, addr, is_write, issue);
+                        stall = fill_dispose(C, cid, cid, addr, is_write, issue);
                         BUMP(sc, ss, SL_RHIT, 1);
                         latency = C->lat_snug + delay + stall; okey = 2;
                     } else {
                         latency = mem_fetch(C, addr, issue);
-                        stall = fill_dispose(C, cid, addr, is_write, issue);
+                        stall = fill_dispose(C, cid, cid, addr, is_write, issue);
                         BUMP(sc, ss, SL_DRAMF, 1);
                         latency += stall; okey = 3;
                     }
@@ -812,7 +815,7 @@ i64 run_kernel(void **A) {
             } else {
                 BUMP(sc, ss, SL_MISSES, 1);
                 if (wb_try_read(C, cid, addr, issue)) {
-                    stall = fill_dispose(C, cid, addr, 1, issue);
+                    stall = fill_dispose(C, cid, cid, addr, 1, issue);
                     latency = C->lat_local + stall; okey = 1;
                 } else {
                     bus_snoop(C, issue);
@@ -829,7 +832,7 @@ i64 run_kernel(void **A) {
                         BUMP(pc, ps, SL_INVAL, 1);
                         BUMP(pc, ps, SL_FWD, 1);
                         i64 delay = bus_transfer(C, issue);
-                        stall = fill_dispose(C, cid, addr, is_write, issue);
+                        stall = fill_dispose(C, cid, cid, addr, is_write, issue);
                         BUMP(sc, ss, SL_RHIT, 1);
                         latency = C->lat_remote + delay + stall; okey = 2;
                     } else {
@@ -842,7 +845,7 @@ i64 run_kernel(void **A) {
                             }
                         }
                         latency = mem_fetch(C, addr, issue);
-                        stall = fill_dispose(C, cid, addr, is_write, issue);
+                        stall = fill_dispose(C, cid, cid, addr, is_write, issue);
                         BUMP(sc, ss, SL_DRAMF, 1);
                         latency += stall; okey = 3;
                     }
@@ -878,7 +881,6 @@ i64 run_kernel(void **A) {
 # -- build & load -------------------------------------------------------------
 
 _LIB: Optional[ctypes.CDLL] = None
-_REASON: Optional[str] = None
 _TRIED = False
 
 
@@ -907,21 +909,20 @@ def _build(cc: str) -> ctypes.CDLL:
 
 
 def _get_lib() -> Optional[ctypes.CDLL]:
-    global _LIB, _REASON, _TRIED
+    """The loaded library, built on first call; ``None`` when it cannot be
+    (``REPRO_NO_CKERNEL`` set, no compiler on ``PATH``, failed build)."""
+    global _LIB, _TRIED
     if _TRIED:
         return _LIB
     _TRIED = True
     if os.environ.get("REPRO_NO_CKERNEL"):
-        _REASON = "disabled by REPRO_NO_CKERNEL"
         return None
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
-        _REASON = "no C compiler on PATH"
         return None
     try:
         _LIB = _build(cc)
-    except Exception as exc:  # pragma: no cover - toolchain-dependent
-        _REASON = f"C kernel build failed ({type(exc).__name__})"
+    except Exception:  # pragma: no cover - toolchain-dependent
         _LIB = None
     return _LIB
 
@@ -929,12 +930,6 @@ def _get_lib() -> Optional[ctypes.CDLL]:
 def lib_available() -> bool:
     """Whether the native kernel library is built and loaded (builds lazily)."""
     return _get_lib() is not None
-
-
-def reason() -> Optional[str]:
-    """Why the native tier is unavailable (``None`` when it is available)."""
-    _get_lib()
-    return _REASON
 
 
 # -- runner -------------------------------------------------------------------
@@ -966,13 +961,94 @@ def _fresh_structural(scheme, caches, kind: int) -> bool:
     return True
 
 
+def _trace_columns(cores):
+    """The kernel's trace columns: each core's ``Trace`` arrays, concatenated.
+
+    Returns ``(offs, addrs, gaps, gap_cycles, writes)``.  The gap cycles are
+    the vectorized ``int(gap * base_cpi)`` of the scalar loops: the same
+    IEEE-754 product (int64 gaps convert to double exactly), truncated
+    toward zero by ``astype``.
+    """
+    traces = [core.trace for core in cores]
+    offs = np.zeros(len(cores) + 1, dtype=np.int64)
+    np.cumsum([len(t) for t in traces], out=offs[1:])
+    gaps = np.concatenate([t.gaps for t in traces])
+    gap_cycles = np.concatenate(
+        [(t.gaps * core.base_cpi).astype(np.int64) for core, t in zip(cores, traces)]
+    )
+    addrs = np.concatenate([t.addrs for t in traces])
+    writes = np.concatenate([t.writes for t in traces]).astype(np.int64)
+    return offs, addrs, gaps, gap_cycles, writes
+
+
+def _decode_lines(caches, shape, line_addr, line_meta, occ) -> None:
+    """Rebuild every occupied set's ``CacheLine`` list from the SoA arrays."""
+    ncores, num_sets, assoc = shape
+    la_l = line_addr.reshape(shape).tolist()
+    lm_l = line_meta.reshape(shape).tolist()
+    occ_l = occ.reshape(ncores, num_sets).tolist()
+    for c, cache in enumerate(caches):
+        sets = cache.sets
+        rows, mrows, occs = la_l[c], lm_l[c], occ_l[c]
+        for s in range(num_sets):
+            o = occs[s]
+            if o:
+                row, mrow = rows[s], mrows[s]
+                lruset = sets[s]
+                lruset._lines = [
+                    CacheLine(addr=row[j], dirty=bool(mrow[j] & 1),
+                              cc=bool(mrow[j] & 2), f=bool(mrow[j] & 4),
+                              owner=mrow[j] >> 3)
+                    for j in range(o)
+                ]
+                lruset._addrs = row[:o]
+
+
+def _decode_snug(scheme, shape, gt, sh_addr, sh_len, mon_val, mon_mod) -> None:
+    """Write SNUG's per-set state (G/T bits, shadow tags, monitors) back."""
+    ncores, num_sets, assoc = shape
+    sh_l = sh_addr.reshape(shape).tolist()
+    shlen_l = sh_len.reshape(ncores, num_sets).tolist()
+    gt_l = gt.reshape(ncores, num_sets).tolist()
+    mv_l = mon_val.reshape(ncores, num_sets).tolist()
+    mm_l = mon_mod.reshape(ncores, num_sets).tolist()
+    for c, meta in enumerate(scheme.meta):
+        meta.gt_taker[:] = [bool(v) for v in gt_l[c]]
+        for s in range(num_sets):
+            sl = shlen_l[c][s]
+            if sl:
+                meta.shadows[s]._tags = sh_l[c][s][:sl]
+            mc = meta.monitors[s]
+            mc.counter.value = mv_l[c][s]
+            mc._mod = mm_l[c][s]
+
+
+def _rewind(gen, state, consumed: int, draw) -> None:
+    """Leave *gen* exactly *consumed* draws past *state*.
+
+    The kernel consumes prefetched draws; the unconsumed tail of the last
+    batch must not be lost, or a later run on the same scheme would see a
+    different stream than the scalar loops.  Batch draws advance the
+    generator exactly like the same number of scalar draws, so redrawing in
+    bounded batches restores the scalar position.
+    """
+    gen.bit_generator.state = state
+    while consumed:
+        n = min(consumed, _RNG_CAP)
+        draw(n)
+        consumed -= n
+
+
 def run_kernel(system: CmpSystem, target: int, warmup: int,
                max_events: Optional[int], kind: int) -> Optional[SimResult]:
     """Run one simulation through the native kernel.
 
-    Returns ``None`` when the system is not C-encodable (caller falls back
-    to the interpreted driver).  Raises the budget-exhausted error with the
-    live objects fully merged, exactly like the other cores.
+    Returns ``None`` when the library is unavailable or the system is not
+    encodable (the caller then runs the fast loop).  Otherwise merges the
+    scalar state back into the live objects and leaves the line state to
+    ``system._undecoded`` (see :class:`~repro.core.compiled.CompiledCmpSystem`);
+    a budget overrun raises the same error, with the same live state, as
+    the other cores.
     """
     lib = _get_lib()
     if lib is None:
@@ -986,7 +1062,7 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     if ncores > 64 or (kind >= 2 and ncores < 2):
         return None
     if kind == 4 and scheme.monitor is not None:
-        return None  # attached online monitor: interpreted driver handles it
+        return None  # attached online monitor: the fast loop feeds it
     caches = scheme.banks if kind == 1 else scheme.slices
     if not _fresh_structural(scheme, caches, kind):
         return None
@@ -1030,22 +1106,9 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     p[_P_WB_DIRECT] = 1 if wb_cfg.direct_read else 0
     p[_P_CSHIFT] = cshift
     p[_P_CMASK] = cmask
+    p[_P_NSETS] = num_sets
 
-    offs = np.zeros(ncores + 1, dtype=np.int64)
-    for i, core in enumerate(cores):
-        offs[i + 1] = offs[i] + core._n
-    total = int(offs[-1])
-    t_addr = np.empty(total, dtype=np.int64)
-    t_gap = np.empty(total, dtype=np.int64)
-    t_gapc = np.empty(total, dtype=np.int64)
-    t_write = np.empty(total, dtype=np.int64)
-    for i, core in enumerate(cores):
-        lo, hi = int(offs[i]), int(offs[i + 1])
-        t_gap[lo:hi] = core._gaps
-        t_gapc[lo:hi] = core._gap_cycles
-        t_addr[lo:hi] = core._addrs
-        t_write[lo:hi] = [1 if w else 0 for w in core._writes]
-
+    offs, t_addr, t_gap, t_gapc, t_write = _trace_columns(cores)
     c_time = np.array([c.time for c in cores], dtype=np.int64)
     c_pos = np.array([c.pos for c in cores], dtype=np.int64)
     c_instr = np.array([c.instructions for c in cores], dtype=np.int64)
@@ -1057,10 +1120,10 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     c_fin = np.array(
         [-1 if c.finish_time is None else c.finish_time for c in cores],
         dtype=np.int64)
-    keys = np.array(
-        [((cores[i].time + cores[i]._gap_cycles[cores[i].pos]) << cshift) | i
-         for i in range(ncores)], dtype=np.int64)
+    keys = ((c_time + t_gapc[offs[:-1] + c_pos]) << cshift) | np.arange(
+        ncores, dtype=np.int64)
 
+    shape = (ncores, num_sets, assoc)
     line_addr = np.zeros(ncores * num_sets * assoc, dtype=np.int64)
     line_meta = np.zeros(ncores * num_sets * assoc, dtype=np.int64)
     occ = np.zeros(ncores * num_sets, dtype=np.int64)
@@ -1107,17 +1170,20 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
         peers_arr = np.array(
             [pp for row in scheme._peers for pp in row], dtype=np.int64)
     if kind == 2:
+        coin, pick = scheme._coin, scheme._peer_pick
         spill_p = scheme.spill_probability
         dparams[0] = spill_p
         spill_mode = 0 if spill_p <= 0.0 else (1 if spill_p >= 1.0 else 2)
         p[_P_SPILL_MODE] = spill_mode
         if spill_mode:
+            pick_state, picks_drawn = pick.bit_generator.state, _RNG_CAP
             pick_buf = np.empty(_RNG_CAP, dtype=np.int64)
-            pick_buf[:] = scheme._peer_pick.integers(0, nper, size=_RNG_CAP)
+            pick_buf[:] = pick.integers(0, nper, size=_RNG_CAP)
             rs[_RS_PICK_FILL] = _RNG_CAP
             if spill_mode == 2:
+                coin_state, coins_drawn = coin.bit_generator.state, _RNG_CAP
                 coin_buf = np.empty(_RNG_CAP, dtype=np.float64)
-                coin_buf[:] = scheme._coin.random(size=_RNG_CAP)
+                coin_buf[:] = coin.random(size=_RNG_CAP)
                 rs[_RS_COIN_FILL] = _RNG_CAP
     elif kind == 3:
         psel_bits = config.dsr.psel_bits
@@ -1129,7 +1195,6 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
     elif kind == 4:
         snug_cfg = scheme.snug_cfg
         p[_P_LAT_SNUG] = config.latency.l2_remote_snug
-        p[_P_NSETS] = num_sets
         mon_bits = snug_cfg.counter_bits
         p[_P_MON_MAX] = (1 << mon_bits) - 1
         p[_P_MON_MSB] = mon_bits - 1
@@ -1155,7 +1220,6 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
         mon_mod = np.array(
             [mc._mod for m in scheme.meta for mc in m.monitors],
             dtype=np.int64)
-    p[_P_NSETS] = num_sets  # needed by every kind for set indexing
 
     arrays: List[np.ndarray] = [zi] * _NARR
     arrays[_A_PARAMS] = p
@@ -1225,44 +1289,39 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
             rem = fill - pos
             if rem:
                 coin_buf[:rem] = coin_buf[pos:fill]
-            coin_buf[rem:] = scheme._coin.random(size=_RNG_CAP - rem)
+            coin_buf[rem:] = coin.random(size=_RNG_CAP - rem)
+            coins_drawn += _RNG_CAP - rem
             rs[_RS_COIN_POS] = 0
             rs[_RS_COIN_FILL] = _RNG_CAP
         pos, fill = int(rs[_RS_PICK_POS]), int(rs[_RS_PICK_FILL])
         rem = fill - pos
         if rem:
             pick_buf[:rem] = pick_buf[pos:fill]
-        pick_buf[rem:] = scheme._peer_pick.integers(0, nper, size=_RNG_CAP - rem)
+        pick_buf[rem:] = pick.integers(0, nper, size=_RNG_CAP - rem)
+        picks_drawn += _RNG_CAP - rem
         rs[_RS_PICK_POS] = 0
         rs[_RS_PICK_FILL] = _RNG_CAP
 
-    # -- merge the SoA state back into the live objects ----------------------
-    for i, core in enumerate(cores):
-        core.time = int(c_time[i])
-        core.pos = int(c_pos[i])
-        core.instructions = int(c_instr[i])
-        core.wraps = int(c_wraps[i])
-        core.accesses = int(c_acc[i])
-        core.warmup_end_time = int(c_warm[i]) if c_warm[i] >= 0 else None
-        core.finish_time = int(c_fin[i]) if c_fin[i] >= 0 else None
-    la_l = line_addr.reshape(ncores, num_sets, assoc).tolist()
-    lm_l = line_meta.reshape(ncores, num_sets, assoc).tolist()
-    occ_l = occ.reshape(ncores, num_sets).tolist()
+    # -- merge the scalar state back into the live objects --------------------
+    if spill_mode:
+        unused = int(rs[_RS_PICK_FILL] - rs[_RS_PICK_POS])
+        _rewind(pick, pick_state, picks_drawn - unused,
+                lambda n: pick.integers(0, nper, size=n))
+        if spill_mode == 2:
+            unused = int(rs[_RS_COIN_FILL] - rs[_RS_COIN_POS])
+            _rewind(coin, coin_state, coins_drawn - unused,
+                    lambda n: coin.random(size=n))
+    for core, t, pos, instr, wraps, acc, warm, fin in zip(
+            cores, c_time.tolist(), c_pos.tolist(), c_instr.tolist(),
+            c_wraps.tolist(), c_acc.tolist(), c_warm.tolist(), c_fin.tolist()):
+        core.time = t
+        core.pos = pos
+        core.instructions = instr
+        core.wraps = wraps
+        core.accesses = acc
+        core.warmup_end_time = warm if warm >= 0 else None
+        core.finish_time = fin if fin >= 0 else None
     for c, cache in enumerate(caches):
-        sets = cache.sets
-        rows, mrows, occs = la_l[c], lm_l[c], occ_l[c]
-        for s in range(num_sets):
-            o = occs[s]
-            if o:
-                row, mrow = rows[s], mrows[s]
-                lruset = sets[s]
-                lruset._lines = [
-                    CacheLine(addr=row[j], dirty=bool(mrow[j] & 1),
-                              cc=bool(mrow[j] & 2), f=bool(mrow[j] & 4),
-                              owner=mrow[j] >> 3)
-                    for j in range(o)
-                ]
-                lruset._addrs = row[:o]
         _merge_stamped(cache._counters, _SL_KEYS,
                        slcnt[c * nsl:(c + 1) * nsl],
                        slstamp[c * nsl:(c + 1) * nsl])
@@ -1277,39 +1336,33 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
                        wstamp[c * nwb:(c + 1) * nwb])
     _merge_stamped(dram._counters, _DR_KEYS, dcnt, dstamp)
     if dram._model_banks:
-        dram._bank_free_at[:] = [int(x) for x in bank_free]
+        dram._bank_free_at[:] = bank_free.tolist()
     _merge_stamped(bus._counters, _BU_KEYS, bcnt, bstamp)
     if bus.config.model_contention:
         bus._busy_until = int(bus_busy[0])
     if kind == 3:
         scheme._rr = int(ms[_MS_RR])
-        for i, pc in enumerate(scheme.psel):
-            pc.value = int(psel[i])
+        for pc, value in zip(scheme.psel, psel.tolist()):
+            pc.value = value
     elif kind == 4:
         scheme.stage = STAGE_IDENTIFY if ms[_MS_STAGE] == 0 else STAGE_GROUP
         scheme._stage_end = int(ms[_MS_STAGE_END])
         scheme.epoch = int(ms[_MS_EPOCH])
         scheme._spill_rr = int(ms[_MS_SPILL_RR])
-        sh_l = sh_addr.reshape(ncores, num_sets, assoc).tolist()
-        shlen_l = sh_len.reshape(ncores, num_sets).tolist()
-        gt_l = gt.reshape(ncores, num_sets).tolist()
-        mv_l = mon_val.reshape(ncores, num_sets).tolist()
-        mm_l = mon_mod.reshape(ncores, num_sets).tolist()
-        for c, meta in enumerate(scheme.meta):
-            meta.gt_taker[:] = [bool(v) for v in gt_l[c]]
-            for s in range(num_sets):
-                sl = shlen_l[c][s]
-                if sl:
-                    meta.shadows[s]._tags = sh_l[c][s][:sl]
-                mc = meta.monitors[s]
-                mc.counter.value = mv_l[c][s]
-                mc._mod = mm_l[c][s]
         _merge_stamped(scheme.stats.counters, _RT_KEYS, rcnt, rstamp)
 
+    def decode() -> None:
+        _decode_lines(caches, shape, line_addr, line_meta, occ)
+        if kind == 4:
+            _decode_snug(scheme, shape, gt, sh_addr, sh_len, mon_val, mon_mod)
+
+    system._undecoded = decode
     if rc == _RC_BUDGET:
         raise budget_exhausted_error(budget, cores, finish_at)
 
-    final_now = max(core.time for core in cores)
+    final_now = int(c_time.max())
+    if kind == 4 and final_now >= scheme._stage_end:
+        system.decode()  # the stage change latches monitors, may flush lines
     scheme.finalize(final_now)
     out_l = out_c.tolist()
     w_out_l = w_out.reshape(ncores, 4).tolist()
@@ -1323,5 +1376,5 @@ def run_kernel(system: CmpSystem, target: int, warmup: int,
         outcome_counts={okeys[i]: out_l[i] for i in range(4)},
         stats=scheme.flat_stats(),
         window_outcomes=[{okeys[i]: row[i] for i in range(4)} for row in w_out_l],
-        window_latency=[int(x) for x in w_lat],
+        window_latency=w_lat.tolist(),
     )

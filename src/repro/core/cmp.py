@@ -12,10 +12,11 @@ Fast path
 ---------
 :meth:`CmpSystem.run` inlines the trace-stepping of
 :class:`~repro.core.cpu.TraceCore` into its event loop: the per-access
-record fetch reads the core's pre-extracted plain-``int`` columns directly,
-bound methods (``heappush``/``heappop``/``scheme.access``) are cached in
-locals, and outcome tallies read the member's ``_value_`` attribute instead
-of the ``.value`` descriptor.  Every arithmetic expression matches the
+record fetch reads the core's plain-``int`` list columns directly (built
+once per core, by the first run that steps it), bound methods
+(``heappush``/``heappop``/``scheme.access``) are cached in locals, and
+outcome tallies read the member's ``_value_`` attribute instead of the
+``.value`` descriptor.  Every arithmetic expression matches the
 reference implementation in :mod:`repro.core.reference` term-for-term, so
 the produced :class:`SimResult` is bit-identical (asserted by the property
 and determinism suites).
@@ -149,6 +150,18 @@ class CmpSystem:
             for i, trace in enumerate(traces)
         ]
 
+    def _arm(self, target_instructions: int, warmup_instructions: int) -> None:
+        """Validate the run sizing and hand it to every core."""
+        if target_instructions < 1:
+            raise SimulationError("target_instructions must be positive")
+        if warmup_instructions < 0:
+            raise SimulationError("warmup_instructions must be non-negative")
+        for core in self.cores:
+            core.target_instructions = target_instructions
+            core.warmup_instructions = warmup_instructions
+            if warmup_instructions == 0:
+                core.warmup_end_time = 0
+
     def run(
         self,
         target_instructions: int,
@@ -170,15 +183,9 @@ class CmpSystem:
             Safety valve on total processed accesses (defaults to a generous
             multiple of the expected access count).
         """
-        if target_instructions < 1:
-            raise SimulationError("target_instructions must be positive")
-        if warmup_instructions < 0:
-            raise SimulationError("warmup_instructions must be non-negative")
+        self._arm(target_instructions, warmup_instructions)
         for core in self.cores:
-            core.target_instructions = target_instructions
-            core.warmup_instructions = warmup_instructions
-            if warmup_instructions == 0:
-                core.warmup_end_time = 0
+            core.load_columns()
 
         outcome_counts = {o.value: 0 for o in Outcome}
         window_outcomes = [{o.value: 0 for o in Outcome} for _ in self.cores]

@@ -12,17 +12,20 @@ The trace wraps around when exhausted so co-scheduled cores keep exerting
 cache pressure until every core reaches the measurement target — mirroring
 the paper's fixed-cycle detailed-simulation window.
 
-Fast path
----------
-The per-access loop is the hottest code in the package.  Indexing the trace's
-NumPy arrays record-by-record boxes a NumPy scalar per field per access
-(three boxed scalars plus ``int()``/``bool()`` conversions each step), which
-dominated the seed implementation.  The constructor therefore pre-extracts
-the columns to flat Python lists **once per run** (``Trace.as_lists``) and
-pre-scales the gap column by ``base_cpi`` so the stepping methods are pure
-list-indexing on plain ints.  The arithmetic is unchanged expression-for-
-expression, so results are bit-identical to the reference implementation in
-:mod:`repro.core.reference` (asserted by the property suite).
+Scalar-loop columns
+-------------------
+Indexing the trace's NumPy arrays record-by-record boxes a NumPy scalar per
+field per access (three boxed scalars plus ``int()``/``bool()`` conversions
+each step), which dominated the seed implementation.  A scalar loop (the
+fast loop of :meth:`CmpSystem.run <repro.core.cmp.CmpSystem.run>`, or the
+stepping methods below) therefore first calls :meth:`TraceCore.load_columns`,
+which extracts the columns to flat Python lists **once per core**
+(``Trace.as_lists``) and pre-scales the gap column by ``base_cpi``, so
+stepping is pure list-indexing on plain ints.  The compiled core reads the
+``Trace`` arrays directly and never builds the lists.  The arithmetic is
+unchanged expression-for-expression, so results are bit-identical to the
+reference implementation in :mod:`repro.core.reference` (asserted by the
+property suite).
 """
 
 from __future__ import annotations
@@ -93,17 +96,26 @@ class TraceCore:
         self.warmup_end_time: Optional[int] = None
         self.finish_time: Optional[int] = None
         self.accesses = 0
-        # Fast-path columns: plain Python ints/bools, extracted once.  The
-        # pre-scaled gap keeps `int(gap * base_cpi)` out of the per-access
-        # loop; the expression matches the reference implementation exactly.
-        self._gaps, self._addrs, self._writes = trace.as_lists()
-        self._gap_cycles = [int(gap * base_cpi) for gap in self._gaps]
-        self._n = len(self._gaps)
+        self._n = len(trace)
+        # Scalar-loop columns, built by load_columns() on first use.
+        self._gaps = self._gap_cycles = self._addrs = self._writes = None
+
+    def load_columns(self) -> None:
+        """Build the plain-int list columns the scalar loops step (once).
+
+        The pre-scaled gap keeps ``int(gap * base_cpi)`` out of the
+        per-access loop; the expression matches the reference
+        implementation exactly.
+        """
+        if self._gaps is None:
+            self._gaps, self._addrs, self._writes = self.trace.as_lists()
+            self._gap_cycles = [int(gap * self.base_cpi) for gap in self._gaps]
 
     # -- trace stepping --------------------------------------------------
 
     def peek_issue_time(self) -> int:
         """Time at which the next L2 access will be issued."""
+        self.load_columns()
         return self.time + self._gap_cycles[self.pos]
 
     def next_access(self) -> Tuple[int, int, bool]:
@@ -111,6 +123,7 @@ class TraceCore:
 
         The caller must complete the access via :meth:`complete`.
         """
+        self.load_columns()
         pos = self.pos
         issue = self.time + self._gap_cycles[pos]
         addr = self._addrs[pos]

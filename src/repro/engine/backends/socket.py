@@ -735,6 +735,9 @@ class _SweepState:
         self.events: "Queue[tuple]" = Queue()
         self.done: set[str] = set()
         self.finished = threading.Event()
+        #: Set on an injected coordinator crash: handlers drop their workers
+        #: without a word instead of serving or shutting them down.
+        self.abandoned = threading.Event()
         self.connected = 0
         self._stall_since: float | None = None
         self.conns: set[socket.socket] = set()
@@ -745,6 +748,7 @@ class _SweepState:
 
     def worker_joined(self, conn: socket.socket) -> None:
         with self.cond:
+            self._check_abandoned()
             self.connected += 1
             self._stall_since = None
             self.conns.add(conn)
@@ -777,6 +781,7 @@ class _SweepState:
         one of them may yet be requeued."""
         with self.cond:
             while not self.finished.is_set():
+                self._check_abandoned()
                 claimed = self._pop_runnable()
                 if claimed is not None:
                     return claimed
@@ -851,6 +856,17 @@ class _SweepState:
         self.finished.set()
         with self.cond:
             self.cond.notify_all()
+
+    def abandon(self) -> None:
+        """Crash the sweep: wake every blocked :meth:`claim` into an error,
+        so no handler serves or shuts down a worker from here on."""
+        self.abandoned.set()
+        with self.cond:
+            self.cond.notify_all()
+
+    def _check_abandoned(self) -> None:
+        if self.abandoned.is_set():
+            raise EngineError("sweep abandoned by a coordinator crash")
 
     def check_stall(self, worker_wait: float, address: Tuple[str, int]) -> None:
         """Raise when work is pending but no worker has been alive for a while."""
@@ -953,6 +969,7 @@ class SocketBackend(ExecutionBackend):
         )
         acceptor.start()
         crash_after = self.faults.crash if self.faults is not None else None
+        crashed = False
         try:
             # Count consumed per-chunk events (each completed chunk queues
             # exactly one) — never the done set, which a handler thread
@@ -973,11 +990,16 @@ class SocketBackend(ExecutionBackend):
                 if error is not None:
                     raise error
                 if crash_after is not None and crash_after <= consumed < total:
-                    # Sever worker connections *before* the teardown path can
-                    # hand out clean shutdowns: a crashed coordinator dies
-                    # mid-conversation, and workers must observe exactly that
-                    # (so they reconnect and replay their spools) rather than
-                    # an orderly end-of-sweep.
+                    # A crashed coordinator dies mid-conversation: workers
+                    # must observe exactly that (so they reconnect and replay
+                    # their spools), never an orderly end-of-sweep.  Stop
+                    # listening first, so a worker that re-dials now finds
+                    # nobody rather than a handler that would hand it a
+                    # shutdown, then sever the live connections.  The state
+                    # is abandoned, never finished (see the finally clause).
+                    crashed = True
+                    self._close_listener()
+                    state.abandon()
                     with state.cond:
                         conns = list(state.conns)
                     for conn in conns:
@@ -1004,20 +1026,9 @@ class SocketBackend(ExecutionBackend):
             for handler in handlers:
                 handler.join(timeout=max(0.0, deadline - time.monotonic()))
         finally:
-            state.finish()
-            listener, self.listener = self.listener, None
-            self.address = None
-            if listener is not None:
-                # shutdown() before close(): a close alone does not wake a
-                # thread blocked in accept(), and the in-flight syscall would
-                # keep the kernel socket alive — still listening — past this
-                # teardown, so a restarted coordinator could not rebind the
-                # port.
-                try:
-                    listener.shutdown(socket.SHUT_RDWR)
-                except OSError:  # pragma: no cover - platform-dependent
-                    pass
-                listener.close()
+            if not crashed:
+                state.finish()
+            self._close_listener()
             acceptor.join(timeout=5.0)
             # Unblock any worker still attached (idle or mid-send); handlers
             # swallow the resulting socket errors and exit.
@@ -1028,6 +1039,21 @@ class SocketBackend(ExecutionBackend):
                     conn.close()
                 except OSError:  # pragma: no cover - best-effort cleanup
                     pass
+
+    def _close_listener(self) -> None:
+        """Stop listening (idempotent)."""
+        listener, self.listener = self.listener, None
+        self.address = None
+        if listener is not None:
+            # shutdown() before close(): a close alone does not wake a thread
+            # blocked in accept(), and the in-flight syscall would keep the
+            # kernel socket alive — still listening — past this teardown, so
+            # a restarted coordinator could not rebind the port.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - platform-dependent
+                pass
+            listener.close()
 
     def _accept_loop(self, state: _SweepState, config, plan, sweep: str) -> None:
         listener = self.listener

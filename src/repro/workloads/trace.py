@@ -147,9 +147,11 @@ class Trace:
     def as_lists(self) -> Tuple[list, list, list]:
         """The three columns as plain Python lists (``gaps, addrs, writes``).
 
-        The timing core consumes these instead of the NumPy arrays: per-access
+        Only the scalar simulation loop builds these (through
+        :meth:`~repro.core.cpu.TraceCore.load_columns`): per-access
         ``ndarray`` indexing boxes a NumPy scalar on every record, which
-        dominates the event loop.  One bulk ``tolist()`` per run replaces
-        millions of per-access conversions.
+        dominates such a loop, and one bulk ``tolist()`` per core replaces
+        millions of per-access conversions.  The compiled core reads the
+        arrays directly.
         """
         return self.gaps.tolist(), self.addrs.tolist(), self.writes.tolist()

@@ -10,8 +10,9 @@ factory here.
 
 ``REPRO_SIM_CORE`` (default ``auto``) forces every plan in this file onto
 one stepping loop — CI's backend-conformance matrix re-runs the suite with
-``reference`` and with ``auto`` on each compiled-kernel tier, holding each
-loop to the same byte-identical merge contract on every backend.
+``reference`` and with ``auto`` both with and without the native C kernel,
+holding each loop to the same byte-identical merge contract on every
+backend.
 """
 
 from __future__ import annotations

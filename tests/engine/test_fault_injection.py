@@ -194,6 +194,53 @@ class TestFaultMatrix:
         leftover = [e for d in sweep_dirs for e in os.scandir(d.path)]
         assert leftover == []
 
+    def test_injected_crash_hands_no_worker_a_shutdown(self, monkeypatch):
+        """Regression: the crash teardown used to finish the sweep while the
+        listener was still open, so a worker re-dialing in that window was
+        accepted and handed an orderly shutdown, and exited instead of
+        waiting for the restarted coordinator.  Here a worker re-dials at
+        exactly that moment (whenever the sweep state is finished); after a
+        crash it must find nobody listening."""
+        from repro.engine.backends import socket as socket_backend
+
+        config, plan = tiny_config(seed=7), small_plan()
+        backend = SocketBackend(
+            heartbeat_timeout=10.0, worker_wait=30.0, faults="crash=1"
+        )
+        host, port = backend.bind()
+        served_after_finish: list = []
+        real_finish = socket_backend._SweepState.finish
+
+        def finish_then_redial(state):
+            real_finish(state)
+            try:
+                served_after_finish.append(
+                    run_worker(host, port, connect_timeout=0.5)
+                )
+            except EngineError:
+                pass  # nobody listening: what a crashed coordinator looks like
+
+        monkeypatch.setattr(
+            socket_backend._SweepState, "finish", finish_then_redial
+        )
+
+        def severed_worker():
+            try:
+                run_worker(host, port, connect_timeout=30.0)
+            except Exception:  # noqa: BLE001 - severed by the crash
+                pass
+
+        worker = threading.Thread(target=severed_worker, daemon=True)
+        worker.start()
+        runner = ParallelRunner(config, plan, jobs=4, backend=backend)
+        with pytest.raises(EngineError, match="injected coordinator crash"):
+            runner.run(MIXES)
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert served_after_finish == []
+        with pytest.raises(EngineError):
+            run_worker(host, port, connect_timeout=0.5)
+
     def test_unacked_spooled_result_replays_without_resimulation(
         self, tmp_path, serial_fingerprints
     ):

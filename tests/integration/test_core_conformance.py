@@ -14,7 +14,7 @@ paths interact with other subsystems:
 * ``cc`` under contention + banked DRAM;
 * ``snug`` with an attached :class:`OnlineDemandMonitor` (the observed
   reference stream must be the same stream, latch for latch; the
-  compiled core falls back to its interpreted driver here);
+  compiled core hands this case to the fast loop);
 * ``cc`` with a fractional spill probability (the C kernel's prefetched
   RNG ring must replay the scalar draw sequence);
 * the budget-exhausted :class:`SimulationError` (same enriched per-core
@@ -23,10 +23,9 @@ paths interact with other subsystems:
   ``--sim-core reference`` (byte-identical records, same manifest — the
   store-level face of the contract).
 
-The compiled core's kernel *tiers* (Numba JIT / native C / interpreted) are
-each bit-identical as well; the interpreted tier is pinned by
-``TestInterpretedFallback`` via subprocesses with the ``REPRO_NO_NUMBA`` /
-``REPRO_NO_CKERNEL`` knobs set.
+On a host without a C compiler the compiled core runs the fast loop;
+``TestNoCompilerFallback`` pins that in a subprocess with
+``REPRO_NO_CKERNEL=1`` set.
 """
 
 import dataclasses
@@ -199,8 +198,8 @@ class TestCliStoreConformance:
 
 #: Runs the five kernel schemes under the compiled core and dumps
 #: ``{"mode": kernel_mode(), "results": {scheme: to_dict()}}`` as JSON —
-#: executed in a subprocess so the ``REPRO_NO_NUMBA``/``REPRO_NO_CKERNEL``
-#: knobs (read at import / first build) take effect.
+#: executed in a subprocess so ``REPRO_NO_CKERNEL`` (read once, at the first
+#: kernel build) takes effect.
 _CHILD_SCRIPT = """\
 import json, sys
 from repro.common.config import scaled_config
@@ -219,49 +218,29 @@ json.dump({"mode": kernel_mode(), "results": results}, sys.stdout)
 """
 
 
-class TestInterpretedFallback:
-    """The accelerated tiers are optional; the fallback is bit-identical.
+class TestNoCompilerFallback:
+    """Without the C kernel the compiled core is the fast loop.
 
-    With ``REPRO_NO_NUMBA=1`` *and* ``REPRO_NO_CKERNEL=1`` the compiled
-    core runs its pure-Python interpreted kernels and announces that once,
-    in one line on stderr.  With only Numba disabled the native C tier
-    serves, silently.  Either way the results match the reference loop
-    term for term.
+    With ``REPRO_NO_CKERNEL=1`` (the same outcome as a host with no C
+    compiler) ``kernel_mode()`` reports ``"fast"`` and the results match
+    the reference loop term for term.
     """
 
-    def _run_child(self, **env_knobs):
+    def test_fast_loop_bit_identical(self):
         import pathlib
 
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src), **env_knobs}
+        env = {**os.environ, "PYTHONPATH": str(src), "REPRO_NO_CKERNEL": "1"}
         proc = subprocess.run(
             [sys.executable, "-c", _CHILD_SCRIPT],
             capture_output=True, text=True, env=env, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout), proc.stderr
-
-    def _reference_results(self):
+        payload = json.loads(proc.stdout)
+        assert payload["mode"] == "fast"
         cfg, traces = build()
-        return json.loads(json.dumps({
+        reference = json.loads(json.dumps({
             name: run_core(ReferenceCmpSystem, cfg, name, traces, 30_000, 5_000)
             for name in KERNEL_SCHEMES
         }))
-
-    def test_interpreted_kernels_bit_identical_with_notice(self):
-        payload, stderr = self._run_child(
-            REPRO_NO_NUMBA="1", REPRO_NO_CKERNEL="1"
-        )
-        assert payload["mode"] == "interpreted"
-        assert payload["results"] == self._reference_results()
-        notices = [l for l in stderr.splitlines() if l.startswith("repro.compiled:")]
-        assert len(notices) == 1  # once per process, not once per run
-        assert "disabled by REPRO_NO_NUMBA" in notices[0]
-        assert "using interpreted kernels (bit-identical)" in notices[0]
-
-    def test_no_numba_tier_bit_identical(self):
-        payload, stderr = self._run_child(REPRO_NO_NUMBA="1")
-        assert payload["mode"] in ("compiled-c", "interpreted")
-        assert payload["results"] == self._reference_results()
-        if payload["mode"] == "compiled-c":  # no notice when a fast tier runs
-            assert "repro.compiled:" not in stderr
+        assert payload["results"] == reference

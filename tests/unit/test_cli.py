@@ -390,7 +390,7 @@ class TestCommands:
         assert main(argv) == 0
         assert "1 cache hit(s)" in capsys.readouterr().out
 
-    def test_sweep_socket_cli_end_to_end(self, capsys):
+    def test_sweep_socket_cli_end_to_end(self, capsys, monkeypatch):
         """Acceptance: a socket-backend sweep driven purely through the CLI
         completes against two real `repro worker` subprocesses."""
         import os
@@ -398,7 +398,25 @@ class TestCommands:
         import subprocess
         import sys
         import threading
+        import time
 
+        from repro.engine.backends import socket as socket_backend
+
+        real_claim = socket_backend._SweepState.claim
+
+        def claim_once_both_attached(state):
+            # The tiny sweep is one chunk, which the first worker can finish
+            # before the second has started its interpreter; a worker that
+            # arrives after the coordinator is gone exits 1 by design.  Hand
+            # out work only once both are attached.
+            deadline = time.monotonic() + 60.0
+            with state.cond:
+                while state.connected < 2 and time.monotonic() < deadline:
+                    state.cond.wait(0.05)
+            return real_claim(state)
+
+        monkeypatch.setattr(socket_backend._SweepState, "claim",
+                            claim_once_both_attached)
         probe = socketlib.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
