@@ -86,8 +86,14 @@ class CooperativeCaching(PrivateL2Base):
         return 0
 
     def _spill(self, owner: int, victim: CacheLine, now: int) -> None:
-        """Spill *victim* to a uniformly chosen peer's same-index set."""
+        """Spill *victim* to a uniformly chosen peer's same-index set.
+
+        A single-core system has no peer: the victim is dropped.
+        """
         peers = self.peers_of(owner)
+        if not peers:
+            self._slice_stats[owner].add("spills_dropped")
+            return
         host = peers[int(self._peer_pick.integers(0, len(peers)))]
         self.bus.snoop(now)
         self.bus.transfer(now, self.config.l2.line_bytes)

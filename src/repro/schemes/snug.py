@@ -418,12 +418,16 @@ class SnugCache(PrivateL2Base):
         flipped-index set is a giver responds (f=1); peers whose both
         candidate sets are takers stay silent.  The arbitration start
         rotates per spill, modelling a fair bus grant rather than always
-        favouring the requester's nearest neighbour.
+        favouring the requester's nearest neighbour.  A single-core system
+        has no peer to ask: the spill is unplaced without a broadcast.
         """
+        peers = self.peers_of(owner)
+        if not peers:
+            self._slice_stats[owner].add("spills_unplaced")
+            return
         self.bus.snoop(now)
         flipped = self.amap.flipped_index(set_index)
         flip_enabled = self.snug_cfg.flip_enabled
-        peers = self.peers_of(owner)
         self._spill_rr += 1
         start = self._spill_rr % len(peers)
         ordered = peers[start:] + peers[:start]

@@ -26,6 +26,12 @@ class TestSpilling:
         fill_set(s, 0, 0, 6)
         assert total_hosted(s) == 0
 
+    def test_single_core_spill_is_dropped(self):
+        s = CooperativeCaching(tiny_system(num_cores=1), spill_probability=1.0)
+        fill_set(s, 0, 0, 5)
+        assert total_hosted(s) == 0
+        assert s.flat_stats()["l2_0.spills_dropped"] == 1
+
     def test_dirty_victim_not_spilled(self):
         s = make(1.0)
         a = addr(0, 0, 0)

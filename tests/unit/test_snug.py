@@ -128,6 +128,15 @@ class TestGrouping:
         fill_set(s, 0, 0, 6, t0=2_000)  # set 0 is a giver by default
         assert s.flat_stats().get("l2_0.spills_out", 0) == 0
 
+    def test_single_core_spill_is_unplaced(self):
+        s = SnugCache(tiny_system(num_cores=1))
+        enter_group_stage(s)
+        force_takers(s, 0, [4])
+        fill_set(s, 0, 4, 5, t0=2_000)
+        stats = s.flat_stats()
+        assert stats["l2_0.spills_unplaced"] == 1
+        assert stats.get("l2_0.spills_out", 0) == 0
+
     def test_case1_same_index_giver_hosts(self):
         s = make()
         enter_group_stage(s)
